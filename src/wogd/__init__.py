@@ -19,7 +19,6 @@ from .gradients import (
     NumericOverflowError,
     fd_gradient,
     instant_gradient,
-    push_step,
     smoothed_loss,
     tbptt_gradient,
 )
@@ -38,7 +37,6 @@ from .harness import (
     run_single,
 )
 from .linalg import (
-    SvdConvergenceError,
     SvdResult,
     clip_singular_values,
     spectral_norm,

@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .gradients import NumericOverflowError
 from .harness import (
     ConfigError,
@@ -28,7 +30,6 @@ from .harness import (
     parse_config_text,
     run_many,
 )
-from .linalg import SvdConvergenceError
 from .tasks import CsvFormatError
 
 
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     except (CsvFormatError, FileNotFoundError, OSError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return 3
-    except (NumericOverflowError, SvdConvergenceError, GridSearchError) as exc:
+    except (NumericOverflowError, np.linalg.LinAlgError, GridSearchError) as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # pragma: no cover - last resort

@@ -45,6 +45,12 @@ class NumericOverflowError(RuntimeError):
     def __init__(self, timestep: int, what: str = "gradient"):
         super().__init__(f"non-finite {what} at timestep {timestep}")
         self.timestep = timestep
+        self.what = what
+
+    def __reduce__(self):
+        # Rebuild from the constructor arguments, not the formatted message,
+        # so the error crosses a process pool intact.
+        return type(self), (self.timestep, self.what)
 
 
 class ActivationTape:
@@ -93,11 +99,6 @@ class ActivationTape:
             evicted = self._records.popleft()
             self.anchor = evicted.h_new
         return self
-
-
-def push_step(tape: ActivationTape, record: StepRecord) -> ActivationTape:
-    """Append a record, evicting the oldest and advancing the anchor at capacity."""
-    return tape.push(record)
 
 
 @dataclass

@@ -1,30 +1,18 @@
-"""Small dense linear algebra: one-sided Jacobi SVD, spectral norms, projections.
+"""Small dense linear algebra: LAPACK-backed SVD, spectral norms, projections.
 
-Everything here works on plain float64 numpy arrays and is sized for the
-matrices this package actually handles (hidden layers of a few dozen units).
-All functions are pure; inputs are never mutated.
+The decomposition is numpy's LAPACK SVD; this module adds input checks, a
+fixed result layout and the two projections the optimizers need. Everything
+works on plain float64 numpy arrays, and all functions are pure: inputs are
+never mutated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Convergence controls for the one-sided Jacobi sweep.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 MAX_DIM = 4096
-
-
-class SvdConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweep does not converge within the sweep cap."""
-
-    def __init__(self, sweeps: int):
-        super().__init__(f"SVD did not converge after {sweeps} Jacobi sweeps")
-        self.sweeps = sweeps
 
 
 @dataclass(frozen=True)
@@ -52,119 +40,15 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _orthonormal_fill(u: np.ndarray, dead: np.ndarray) -> None:
-    # Replace columns flagged in `dead` by unit vectors orthogonal to the
-    # surviving columns (Gram-Schmidt over the standard basis). Only needed
-    # for exactly rank-deficient inputs, where those directions carry
-    # sigma = 0 and do not affect the reconstruction.
-    m = u.shape[0]
-    basis = [u[:, j] for j in range(u.shape[1]) if not dead[j]]
-    for j in np.flatnonzero(dead):
-        for k in range(m):
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            for b in basis:
-                cand -= (b @ cand) * b
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                cand /= norm
-                u[:, j] = cand
-                basis.append(cand)
-                break
-
-
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Tournament schedule: each of the n-1 rounds pairs all columns once,
-    # pairs within a round are disjoint (odd n sits one column out per round).
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    k = len(players)
-    rounds = []
-    order = players[1:]
-    for _ in range(k - 1):
-        lineup = [players[0]] + order
-        ps, qs = [], []
-        for i in range(k // 2):
-            a, b = lineup[i], lineup[k - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps), np.asarray(qs)))
-        order = order[-1:] + order[:-1]
-    return rounds
-
-
-def _jacobi_onesided(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi on a (m x n, m >= n): returns thin (u, sigma, v).
-
-    Pairs within a tournament round touch disjoint columns, so each round's
-    rotations are applied in one vectorized step; the result is identical to
-    rotating the pairs sequentially.
-    """
-    a = a.copy()
-    m, n = a.shape
-    v = np.eye(n)
-    rounds = _round_robin_pairs(n)
-    converged = n == 1
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        rotated = False
-        for ps, qs in rounds:
-            ap = a[:, ps]
-            aq = a[:, qs]
-            alpha = np.einsum("ij,ij->j", ap, ap)
-            beta = np.einsum("ij,ij->j", aq, aq)
-            gamma = np.einsum("ij,ij->j", ap, aq)
-            need = np.abs(gamma) > JACOBI_TOL * np.sqrt(alpha * beta)
-            if not need.any():
-                continue
-            rotated = True
-            gsafe = np.where(need, gamma, 1.0)
-            zeta = (beta - alpha) / (2.0 * gsafe)
-            t = np.sign(zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            t = np.where(np.sign(zeta) == 0.0, 1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            c = np.where(need, c, 1.0)
-            s = np.where(need, s, 0.0)
-            a[:, ps] = c * ap - s * aq
-            a[:, qs] = s * ap + c * aq
-            vp = v[:, ps]
-            vq = v[:, qs]
-            v[:, ps] = c * vp - s * vq
-            v[:, qs] = s * vp + c * vq
-        if not rotated:
-            converged = True
-    if not converged:
-        raise SvdConvergenceError(JACOBI_MAX_SWEEPS)
-
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-    dead = sigma == 0.0
-    u = np.where(dead, 1.0, sigma)  # avoid 0/0; dead columns rebuilt below
-    u = a / u
-    if dead.any():
-        _orthonormal_fill(u, dead)
-    return u, sigma, v
-
-
 def svd(m) -> SvdResult:
-    """Thin singular value decomposition via one-sided Jacobi rotations.
+    """Thin singular value decomposition (LAPACK gesdd via numpy).
 
-    Accurate at small sizes; singular values are returned sorted in
-    non-increasing order. Raises SvdConvergenceError (carrying the sweep
-    count) if the rotation sweep does not settle, and ValueError for
-    non-finite input or dimensions beyond the supported maximum.
+    Singular values are returned sorted in non-increasing order. Raises
+    ValueError for non-finite input or dimensions beyond the supported
+    maximum, and np.linalg.LinAlgError if LAPACK does not converge.
     """
-    a = _as_matrix(m)
-    if a.shape[0] >= a.shape[1]:
-        u, sigma, v = _jacobi_onesided(a)
-    else:
-        v, sigma, u = _jacobi_onesided(a.T)
-    return SvdResult(u=u, sigma=sigma, v=v)
+    u, sigma, vt = np.linalg.svd(_as_matrix(m), full_matrices=False)
+    return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 
 def spectral_norm(m) -> float:
@@ -182,11 +66,10 @@ def clip_singular_values(m, lam: float) -> np.ndarray:
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     a = _as_matrix(m)
-    res = svd(a)
-    if res.sigma[0] <= lam:
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    if sigma[0] <= lam:
         return a.copy()
-    clipped = np.minimum(res.sigma, lam)
-    return (res.u * clipped) @ res.v.T
+    return (u * np.minimum(sigma, lam)) @ vt
 
 
 def project_l2_ball(v, radius: float) -> np.ndarray:

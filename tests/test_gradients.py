@@ -10,7 +10,6 @@ from wogd.gradients import (
     NumericOverflowError,
     fd_gradient,
     instant_gradient,
-    push_step,
     smoothed_loss,
     tbptt_gradient,
 )
@@ -78,7 +77,7 @@ class TestTape:
         state = zero_state(p)
         new_state, _ = step_model(p, state, np.zeros(2))
         rec = StepRecord(x=np.zeros(2), d=0.0, h_prev=state, h_new=new_state, prediction=0.0)
-        push_step(tape, rec)
+        tape.push(rec)
         assert len(tape) == 1
         assert tape.anchor is state
 

@@ -301,3 +301,35 @@ class TestCli:
                          "--seeds", "1"])
         assert code == 0
         assert "best=0.05" in capsys.readouterr().out
+
+    def test_divergence_exit_code_same_across_workers(self, tmp_path, capsys):
+        # The worker's NumericOverflowError must cross the process pool with
+        # its message and timestep intact.
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text(
+            "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 60\n"
+            "model = srnn\nn_h = 4\noptimizer = sgd\nlearning_rate = 1e6\n"
+            f"tbptt_depth = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
+        )
+        lines = {}
+        for workers in (1, 2):
+            with np.errstate(all="ignore"):
+                code = cli_main(["run", "--config", str(cfg_path), "--workers", str(workers)])
+            assert code == 4
+            lines[workers] = capsys.readouterr().err.strip()
+        assert lines[1].startswith("error[numeric]: non-finite gradient block 'w' at timestep")
+        assert lines[2] == lines[1]
+
+    def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("wogd.linalg.np.linalg.svd", failing_svd)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out")
+            .replace("seeds = 1,2", "seeds = 1")
+            + "steps = 20\nrecord_regret = true\n"
+        )
+        assert cli_main(["run", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.strip() == "error[numeric]: SVD did not converge"
