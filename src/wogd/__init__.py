@@ -33,6 +33,7 @@ from .harness import (
     emit_outputs,
     grid_search,
     load_config,
+    run_batch,
     run_many,
     run_single,
 )

@@ -1,7 +1,8 @@
 """Gradients of the time-smoothed loss via truncated backpropagation.
 
 The tape keeps the last `w` observed steps plus the hidden state at the
-window's left edge (the anchor). Gradients come in two flavours:
+window's left edge (the anchor); ``WindowRing`` is its array form for runs
+trained in lockstep. Gradients come in two flavours:
 
 * ``replay`` (default): re-run the forward pass from the anchor over the
   window's inputs with the *current* parameters, then backpropagate the mean
@@ -15,7 +16,8 @@ window's left edge (the anchor). Gradients come in two flavours:
 is what the first-order baselines (SGD/RMSprop/Adam) consume.
 
 All gradients are returned as a dict keyed by parameter-block name, with the
-same shapes as the corresponding parameter arrays.
+same shapes as the corresponding parameter arrays (``elman_window_gradient``
+adds a leading member axis).
 """
 
 from __future__ import annotations
@@ -101,6 +103,64 @@ class ActivationTape:
         return self
 
 
+class WindowRing:
+    """Time-major window of B runs trained in lockstep: the last `capacity`
+    steps of each plus the anchor state one step before the oldest of them.
+
+    The arrays hold up to 2 * capacity steps. When they are full, the kept
+    window and its anchor shift to the front in place, so memory stays
+    O(capacity) and every window is a contiguous view in the layout of the
+    Elman kernels: x (m, B, n_x), d and pred (m, B), h (m + 1, B, n_h, 1).
+    """
+
+    def __init__(self, capacity: int, h0: np.ndarray, n_x: int):
+        if capacity < 1:
+            raise ValueError(f"window capacity must be >= 1, got {capacity}")
+        batch, n_h = h0.shape
+        size = 2 * capacity
+        self.capacity = capacity
+        self.x = np.empty((size, batch, n_x))
+        self.d = np.empty((size, batch))
+        self.pred = np.empty((size, batch))
+        self.h = np.empty((size + 1, batch, n_h, 1))
+        self.h[0, :, :, 0] = h0
+        self.start = 0  # oldest step of the window; h[start] is its anchor
+        self.end = 0  # one past the newest step
+
+    @property
+    def state(self) -> np.ndarray:
+        """Newest hidden states, (B, n_h, 1)."""
+        return self.h[self.end]
+
+    def push(self, x, d, pred, h_new) -> None:
+        if self.end == self.x.shape[0]:
+            s, m = self.start, self.end - self.start
+            for a in (self.x, self.d, self.pred):
+                a[:m] = a[s : s + m]
+            self.h[: m + 1] = self.h[s : s + m + 1]
+            self.start, self.end = 0, m
+        e = self.end
+        self.x[e] = x
+        self.d[e] = d
+        self.pred[e] = pred
+        self.h[e + 1] = h_new
+        self.end = e + 1
+        if self.end - self.start > self.capacity:
+            self.start += 1
+
+    def window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Views (x, d, pred, h) of the current window, h[0] the anchor."""
+        s, e = self.start, self.end
+        return self.x[s:e], self.d[s:e], self.pred[s:e], self.h[s : e + 1]
+
+    def keep(self, members) -> None:
+        """Drop every member not listed, by batch position."""
+        self.x = self.x[:, members]
+        self.d = self.d[:, members]
+        self.pred = self.pred[:, members]
+        self.h = self.h[:, members]
+
+
 @dataclass
 class _Window:
     """Stacked view of the tape used by the vectorized kernels."""
@@ -157,7 +217,8 @@ def _vsigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _predictions(h: np.ndarray, theta: np.ndarray, loss_kind: str) -> np.ndarray:
-    z = h @ theta
+    # Readouts of states h (..., m, n_h) under theta (..., n_h).
+    z = np.matmul(h, theta[..., None])[..., 0]
     if loss_kind == LOSS_CROSS_ENTROPY:
         return _vsigmoid(z)
     return z
@@ -174,63 +235,177 @@ def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Elman-style kernels (shared by SRNN and CWRNN; CWRNN adds an activity mask)
+#
+# One kernel serves a single tape (B = 1) and B runs trained in lockstep.
+# Window data is time-major -- x (m, B, n_x), d and pred (m, B), states
+# (m + 1, B, n_h, 1) -- so every step of the loops works on one contiguous
+# (B, n_h, 1) block. Parameters are stacked member-first: w (B, n_h, n_h),
+# u (B, n_h, n_x), theta (B, n_h). Every product is a per-member BLAS call on
+# a slice laid out as in the single-tape case, so a member's numbers do not
+# depend on the batch it runs in.
 # ---------------------------------------------------------------------------
 
 
-def _srnn_forward(win: _Window, p: SrnnParams) -> np.ndarray:
-    m = win.m
-    h = np.empty((m + 1, p.n_h))
-    h[0] = win.anchor.h
-    ux = win.x @ p.u.T
-    w = p.w
-    for i in range(m):
-        h[i + 1] = np.tanh(w @ h[i] + ux[i])
+def _member_major(a: np.ndarray) -> np.ndarray:
+    """A time-major (m, B, ...) array as a C-contiguous (B, m, ...) one."""
+    return np.ascontiguousarray(a.swapaxes(0, 1))
+
+
+def _srnn_forward(
+    xb: np.ndarray,
+    h0: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    active: np.ndarray | None = None,
+) -> np.ndarray:
+    """Replay h_t = tanh(w h_{t-1} + u x_t) over the member-major inputs
+    xb (B, m, n_x) from the anchor h0 (B, n_h, 1).
+
+    `active` (m, n_h, 1), boolean, is a clockwork schedule: inactive units
+    keep their previous value. Returns the states (m + 1, B, n_h, 1).
+    """
+    # Per-member gemm for the inputs, then one time-major block per step
+    # that the loop overwrites with the pre-activation.
+    pre = _member_major(np.matmul(xb, u.swapaxes(1, 2)))[..., None]
+    h = np.empty((xb.shape[1] + 1,) + h0.shape)
+    h[0] = h0
+    wh = np.empty(h0.shape)
+    idle = [None] * len(pre) if active is None else ~active
+    matmul, add, tanh = np.matmul, np.add, np.tanh  # local names: the loop is call-bound
+    for h_prev, h_next, a, keep in zip(h[:-1], h[1:], pre, idle):
+        matmul(w, h_prev, out=wh)
+        add(wh, a, out=a)
+        tanh(a, out=h_next)
+        if keep is not None:
+            np.copyto(h_next, h_prev, where=keep)
     return h
 
 
-def _cwrnn_forward(win: _Window, p: CwrnnParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = win.m
-    w_eff = p.w * p.recurrent_mask()
-    active = (win.ts[:, None] % p.unit_periods()[None, :]) == 0
-    h = np.empty((m + 1, p.n_h))
-    h[0] = win.anchor.h
-    ux = win.x @ p.u.T
-    for i in range(m):
-        fresh = np.tanh(w_eff @ h[i] + ux[i])
-        h[i + 1] = np.where(active[i], fresh, h[i])
-    return h, active.astype(np.float64), w_eff
+def _clock(ts: np.ndarray, p: CwrnnParams) -> np.ndarray:
+    # (m, n_h) 0/1: which units update at each of the timesteps ts.
+    return ((ts[:, None] % p.unit_periods()[None, :]) == 0).astype(np.float64)
+
+
+def _cwrnn_forward(
+    xb: np.ndarray,
+    h0: np.ndarray,
+    ts: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    p: CwrnnParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clockwork replay over timesteps ts; `p` supplies the clock (periods)
+    shared by every member. Returns (states, activity mask, masked w)."""
+    w_eff = w * p.recurrent_mask()
+    active = _clock(ts, p)
+    return _srnn_forward(xb, h0, w_eff, u, active[:, :, None] != 0.0), active, w_eff
 
 
 def _elman_backward(
     w: np.ndarray,
     theta: np.ndarray,
     h: np.ndarray,
-    x: np.ndarray,
+    hb: np.ndarray,
+    xb: np.ndarray,
     resid_w: np.ndarray,
     active: np.ndarray | None,
 ) -> dict[str, np.ndarray]:
     """Backward pass for h_t = tanh(w h_{t-1} + u x_t) given loss-weighted
-    residuals; `active` (0/1 per step and unit) routes copied units through an
-    identity Jacobian (clockwork case)."""
-    m, n_h = x.shape[0], h.shape[1]
-    g_out = resid_w @ h[1:]
-    rv = np.outer(resid_w, theta)
+    residuals resid_w (B, m). The states come time-major (h) for the loop
+    and member-major (hb (B, m + 1, n_h)) for the sums over time, next to
+    the member-major inputs xb. `active` (m, n_h) 0/1 routes copied units
+    through an identity Jacobian (clockwork case). Returns (B, ...) stacks."""
+    g_out = np.matmul(resid_w[:, None, :], hb[:, 1:])[:, 0]
+    # dh_t = theta r_t + carry, accumulated in place, newest step first.
+    dh = (resid_w.T[:, :, None] * theta[None, :, :])[..., None]
     tanhp = 1.0 - h[1:] * h[1:]
+    inactive = [None] * len(tanhp)
     if active is not None:
-        tanhp = tanhp * active
-        inactive = 1.0 - active
-    deltas = np.empty((m, n_h))
-    carry = np.zeros(n_h)
-    wt = w.T
-    for i in range(m - 1, -1, -1):
-        dh = rv[i] + carry
-        deltas[i] = dh * tanhp[i]
-        carry = wt @ deltas[i]
-        if active is not None:
-            carry = carry + dh * inactive[i]
-    g_w = deltas.T @ h[:-1]
-    g_u = deltas.T @ x
+        tanhp = tanhp * active[:, None, :, None]
+        inactive = (1.0 - active)[:, :, None]
+    deltas = np.empty(tanhp.shape)
+    carry = np.zeros(h.shape[1:])
+    wt = w.swapaxes(1, 2)
+    matmul, add, multiply = np.matmul, np.add, np.multiply
+    for dh_i, tp_i, d_i, idle in zip(dh[::-1], tanhp[::-1], deltas[::-1], inactive[::-1]):
+        add(dh_i, carry, out=dh_i)
+        multiply(dh_i, tp_i, out=d_i)
+        matmul(wt, d_i, out=carry)
+        if idle is not None:
+            carry += dh_i * idle
+    dt = _member_major(deltas[..., 0]).swapaxes(1, 2)
+    g_w = np.matmul(dt, hb[:, :-1])
+    g_u = np.matmul(dt, xb)
     return {"w": g_w, "u": g_u, "theta_out": g_out}
+
+
+def elman_window_gradient(
+    x: np.ndarray,
+    d: np.ndarray,
+    pred: np.ndarray,
+    h: np.ndarray,
+    ts: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    theta: np.ndarray,
+    mode: str,
+    loss_kind: str,
+    weights: np.ndarray,
+    clock: CwrnnParams | None = None,
+) -> tuple[dict[str, np.ndarray], list[str | None]]:
+    """Loss-weighted window gradients of B Elman runs in lockstep.
+
+    The window is time-major (see the section comment): inputs x, targets d,
+    recorded predictions pred, the anchor plus recorded states h, and the
+    timesteps ts. Replay mode re-runs the window from h[0] with the stacked
+    parameters (w, u, theta); cached mode uses the recorded pred and h.
+    `clock` is any CwrnnParams of the runs' clockwork family, None for the
+    SRNN. Returns the gradient stacks and, per member, the first non-finite
+    quantity in the order the single-tape path checks them (or None).
+    """
+    active = None
+    xb = _member_major(x)
+    if mode == "replay":
+        if clock is None:
+            states = _srnn_forward(xb, h[0], w, u)
+        else:
+            states, active, w = _cwrnn_forward(xb, h[0], ts, w, u, clock)
+    else:
+        states = h
+        if clock is not None:
+            active, w = _clock(ts, clock), w * clock.recurrent_mask()
+    hb = _member_major(states[..., 0])
+    if mode == "replay":
+        preds = _predictions(hb[:, 1:], theta, loss_kind)
+    else:
+        preds = _member_major(pred)
+    resid_w = _residuals(preds, _member_major(d)) * weights
+    grads = _elman_backward(w, theta, states, hb, xb, resid_w, active)
+    if clock is not None:
+        grads["w"] = grads["w"] * clock.recurrent_mask()
+
+    checks = [(f"gradient block {name!r}", g) for name, g in grads.items()]
+    if mode == "replay":
+        checks.insert(0, ("hidden state", states.swapaxes(0, 1)))
+    failed: list[str | None] = [None] * len(theta)
+    for what, arr in reversed(checks):  # the earliest failing check wins
+        finite = np.isfinite(arr)
+        if not finite.all():
+            for b in np.flatnonzero(~finite.reshape(len(arr), -1).all(axis=1)):
+                failed[b] = what
+    return grads, failed
+
+
+def _elman_tape_gradient(win: _Window, p, mode: str, loss_kind: str, weights: np.ndarray):
+    # The B = 1 case of the lockstep kernel, for one tape.
+    grads, failed = elman_window_gradient(
+        win.x[:, None], win.d[:, None], win.pred[:, None], win.h_rec[:, None, :, None],
+        win.ts, p.w[None], p.u[None], p.theta_out[None], mode, loss_kind, weights,
+        p if isinstance(p, CwrnnParams) else None,
+    )
+    if failed[0] is not None:
+        raise NumericOverflowError(int(win.ts[-1]), failed[0])
+    return {name: g[0] for name, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +527,13 @@ def smoothed_loss(tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED) -
 
 def _smoothed_loss_from_window(win: _Window, params, loss_kind: str) -> float:
     if isinstance(params, SrnnParams):
-        h = _srnn_forward(win, params)
+        h = _srnn_forward(win.x[None], win.h_rec[:1, :, None], params.w[None], params.u[None])
+        h = h[:, 0, :, 0]
     elif isinstance(params, CwrnnParams):
-        h, _, _ = _cwrnn_forward(win, params)
+        h, _, _ = _cwrnn_forward(
+            win.x[None], win.h_rec[:1, :, None], win.ts, params.w[None], params.u[None], params
+        )
+        h = h[:, 0, :, 0]
     elif isinstance(params, LstmParams):
         h = _lstm_loss_forward(win, params)
     else:
@@ -373,14 +552,7 @@ def tbptt_gradient(
     if mode not in GRADIENT_MODES:
         raise ValueError(f"mode must be one of {GRADIENT_MODES}, got {mode!r}")
     win = _window(tape)
-    weights = np.full(win.m, 1.0 / win.m)
-    if mode == "replay":
-        grads = _replay_gradient(win, params, loss_kind, weights)
-    else:
-        grads = _cached_gradient(win, params, loss_kind, weights)
-    for name, g in grads.items():
-        _check_finite(g, int(win.ts[-1]), f"gradient block {name!r}")
-    return grads
+    return _tape_gradient(win, params, mode, loss_kind, np.full(win.m, 1.0 / win.m))
 
 
 def instant_gradient(
@@ -391,10 +563,7 @@ def instant_gradient(
     win = _window(tape)
     weights = np.zeros(win.m)
     weights[-1] = 1.0
-    grads = _cached_gradient(win, params, loss_kind, weights)
-    for name, g in grads.items():
-        _check_finite(g, int(win.ts[-1]), f"gradient block {name!r}")
-    return grads
+    return _tape_gradient(win, params, "cached", loss_kind, weights)
 
 
 def _residuals(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -402,48 +571,36 @@ def _residuals(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return preds - targets
 
 
-def _replay_gradient(win: _Window, params, loss_kind: str, weights: np.ndarray):
-    if isinstance(params, SrnnParams):
-        h = _srnn_forward(win, params)
-        _check_finite(h, int(win.ts[-1]), "hidden state")
-        preds = _predictions(h[1:], params.theta_out, loss_kind)
-        resid_w = _residuals(preds, win.d) * weights
-        return _elman_backward(params.w, params.theta_out, h, win.x, resid_w, None)
-    if isinstance(params, CwrnnParams):
-        h, active, w_eff = _cwrnn_forward(win, params)
-        _check_finite(h, int(win.ts[-1]), "hidden state")
-        preds = _predictions(h[1:], params.theta_out, loss_kind)
-        resid_w = _residuals(preds, win.d) * weights
-        grads = _elman_backward(w_eff, params.theta_out, h, win.x, resid_w, active)
-        grads["w"] = grads["w"] * params.recurrent_mask()
-        return grads
-    if isinstance(params, LstmParams):
-        h, c, gi, gf, go, gg, tc = _lstm_forward(win, params)
-        _check_finite(h, int(win.ts[-1]), "hidden state")
-        _check_finite(c, int(win.ts[-1]), "cell state")
-        preds = _predictions(h[1:], params.theta_out, loss_kind)
-        resid_w = _residuals(preds, win.d) * weights
-        return _lstm_backward(params, h, c[:-1], gi, gf, go, gg, tc, win.x, resid_w)
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
+def _tape_gradient(win: _Window, params, mode: str, loss_kind: str, weights: np.ndarray):
+    if isinstance(params, (SrnnParams, CwrnnParams)):
+        return _elman_tape_gradient(win, params, mode, loss_kind, weights)
+    if not isinstance(params, LstmParams):
+        raise TypeError(f"unknown parameter type {type(params).__name__}")
+    if mode == "replay":
+        grads = _lstm_replay_gradient(win, params, loss_kind, weights)
+    else:
+        grads = _lstm_cached_gradient(win, params, weights)
+    for name, g in grads.items():
+        _check_finite(g, int(win.ts[-1]), f"gradient block {name!r}")
+    return grads
 
 
-def _cached_gradient(win: _Window, params, loss_kind: str, weights: np.ndarray):
+def _lstm_replay_gradient(win: _Window, params: LstmParams, loss_kind: str, weights: np.ndarray):
+    h, c, gi, gf, go, gg, tc = _lstm_forward(win, params)
+    _check_finite(h, int(win.ts[-1]), "hidden state")
+    _check_finite(c, int(win.ts[-1]), "cell state")
+    preds = _predictions(h[1:], params.theta_out, loss_kind)
+    resid_w = _residuals(preds, win.d) * weights
+    return _lstm_backward(params, h, c[:-1], gi, gf, go, gg, tc, win.x, resid_w)
+
+
+def _lstm_cached_gradient(win: _Window, params: LstmParams, weights: np.ndarray):
+    if win.gates is None:
+        raise ValueError("cached LSTM gradient requires gate records on the tape")
     resid_w = _residuals(win.pred, win.d) * weights
-    if isinstance(params, SrnnParams):
-        return _elman_backward(params.w, params.theta_out, win.h_rec, win.x, resid_w, None)
-    if isinstance(params, CwrnnParams):
-        active = ((win.ts[:, None] % params.unit_periods()[None, :]) == 0).astype(np.float64)
-        w_eff = params.w * params.recurrent_mask()
-        grads = _elman_backward(w_eff, params.theta_out, win.h_rec, win.x, resid_w, active)
-        grads["w"] = grads["w"] * params.recurrent_mask()
-        return grads
-    if isinstance(params, LstmParams):
-        if win.gates is None:
-            raise ValueError("cached LSTM gradient requires gate records on the tape")
-        gi, gf, go, gg, c_prev, c_new = win.gates
-        tc = np.tanh(c_new)
-        return _lstm_backward(params, win.h_rec, c_prev, gi, gf, go, gg, tc, win.x, resid_w)
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
+    gi, gf, go, gg, c_prev, c_new = win.gates
+    tc = np.tanh(c_new)
+    return _lstm_backward(params, win.h_rec, c_prev, gi, gf, go, gg, tc, win.x, resid_w)
 
 
 def fd_gradient(

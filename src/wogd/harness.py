@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -61,6 +62,8 @@ from . import analysis, models, tasks
 from .gradients import (
     ActivationTape,
     NumericOverflowError,
+    WindowRing,
+    elman_window_gradient,
     instant_gradient,
     tbptt_gradient,
 )
@@ -303,6 +306,8 @@ class RunResult:
     seed: int
     steps: int
     mse: float
+    # wall time of the online loop; for a run trained in lockstep by
+    # run_batch, the batch's wall time over its number of seeds
     runtime_s: float
     curve: np.ndarray  # cumulative mean loss per step
     sustainable_t: int | None = None
@@ -343,6 +348,12 @@ def _gradient_bound_check(params, grads, cfg: ExperimentConfig, t: int) -> None:
         raise AssertionError(f"gradient-norm ceiling violated at t={t}")
 
 
+# A diverging run is reported by the finiteness checks, with its timestep,
+# not by numpy's floating-point warnings.
+_quiet_divergence = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_divergence
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     """Execute the full online loop (predict, observe, update) for one seed."""
     loss_kind = cfg.loss_kind
@@ -462,25 +473,242 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     )
 
 
-def _run_task(payload) -> RunResult:
-    cfg, seed = payload
-    return run_single(cfg, seed)
+def batchable(cfg: ExperimentConfig) -> bool:
+    """Whether run_many and grid_search train this config's seeds in
+    lockstep with run_batch: srnn/cwrnn with the wogd optimizer and none of
+    the per-run instrumentation (regret, smoothness, gradient-bound checks)."""
+    return (
+        cfg.model in ("srnn", "cwrnn")
+        and cfg.optimizer == "wogd"
+        and not (cfg.record_regret or cfg.record_smoothness or cfg.check_gradient_bounds)
+    )
+
+
+def _time_major(member_streams) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-member sample lists into x (T, B, n_x) and d (T, B); each
+    list is dropped as soon as it is stacked."""
+    xs, ds = [], []
+    for samples in member_streams:
+        if not samples:
+            raise ConfigError("stream is empty")
+        xs.append(np.stack([s.x for s in samples]))
+        ds.append(np.array([s.d for s in samples]))
+    return np.stack(xs, axis=1), np.stack(ds, axis=1)
+
+
+def _batch_stream(cfg: ExperimentConfig, rngs_data) -> tuple[np.ndarray, np.ndarray]:
+    # The csv file is loaded and scaled once and shared by every member
+    # through a member axis of length 1.
+    if cfg.task == "csv":
+        return _time_major([_csv_samples(cfg)])
+    return _time_major(
+        tasks.synthetic_regression_stream(cfg.features, cfg.steps, rng, cfg.n_h)
+        for rng in rngs_data
+    )
+
+
+def _binary_chunk(states, t: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    # Each member continues its own bit stream by the chunk run_single draws.
+    return _time_major(
+        tasks.binary_add_stream(st, min(512, total - t + 1), start_t=t) for st in states
+    )
+
+
+@_quiet_divergence
+def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
+    """Train the seeds of one srnn/cwrnn-wogd config in lockstep.
+
+    Every field of every result except runtime_s is bit for bit what
+    run_single(cfg, seed) returns, whichever seeds share the batch: each
+    member keeps its own generators, stream, parameters and window, and only
+    the numpy calls are shared (stacked parameters, one time-major window
+    ring, the batched Elman kernel). runtime_s is the batch's wall time over
+    the number of seeds. A member leaves the batch when it reaches the
+    binary-addition horizon or when its gradient or update turns non-finite;
+    the others finish, and then the NumericOverflowError of the first
+    diverged seed (in seed order) is raised, as the serial loop would.
+    """
+    seeds = tuple(seeds)
+    if not batchable(cfg):
+        raise ConfigError(
+            f"run_batch trains srnn/cwrnn-wogd configs without instrumentation, got {cfg.label}"
+        )
+    if not seeds:
+        return []
+    loss_kind = cfg.loss_kind
+    squared = loss_kind == tasks.LOSS_SQUARED
+    rngs = [
+        [np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(2)] for s in seeds
+    ]
+
+    binary = cfg.task == "binary_add"
+    if binary:
+        bin_states = [tasks.BinaryAddState(n=cfg.n_sequences, rng=r[1]) for r in rngs]
+        total, n_x = cfg.cutoff, cfg.n_sequences + 1
+        chunk_t = chunk_end = 1
+        if total < 1:
+            raise ConfigError("stream is empty")
+    else:
+        xs, ds = _batch_stream(cfg, [r[1] for r in rngs])
+        total, n_x = xs.shape[0], xs.shape[2]
+
+    members = [_build_params(cfg, n_x, r[0]) for r in rngs]
+    template = members[0]
+    clock = template if cfg.model == "cwrnn" else None
+    w = np.stack([p.w for p in members])
+    u = np.stack([p.u for p in members])
+    theta = np.stack([p.theta_out for p in members])
+    ring = WindowRing(cfg.window, np.zeros((len(seeds), cfg.n_h)), n_x)
+    wcfg = WogdConfig(
+        eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
+        out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
+        mode=cfg.gradient_mode,
+    )
+
+    order = np.arange(len(seeds))  # seed position of each batch member
+    losses = np.empty((total, len(seeds)))
+    projections = np.zeros(len(seeds), dtype=np.int64)
+    consec = np.zeros(len(seeds), dtype=np.int64)
+    # seed position -> (losses, sustainable_t, projection_count)
+    finished: dict[int, tuple[np.ndarray, int | None, int]] = {}
+    diverged: dict[int, NumericOverflowError] = {}
+    started = time.perf_counter()
+
+    for t in range(1, total + 1):
+        if binary:
+            if t == chunk_end:
+                xs, ds = _binary_chunk(bin_states, t, total)
+                chunk_t, chunk_end = t, t + xs.shape[0]
+            x_t, d_t = xs[t - chunk_t], ds[t - chunk_t]
+        else:
+            x_t, d_t = xs[t - 1], ds[t - 1]
+
+        h = ring.state
+        w_now = w if clock is None else w * clock.recurrent_mask()
+        h_new = np.tanh(np.matmul(w_now, h) + np.matmul(u, x_t[..., None]))
+        if clock is not None:
+            h_new = np.where(clock.active_units(t)[:, None], h_new, h)
+        z = np.matmul(theta[:, None, :], h_new)[:, 0, 0]
+        pred = z if squared else models.sigmoid(z)
+        ring.push(x_t, d_t, pred, h_new)
+
+        xw, dw, pw, hw = ring.window()
+        m = xw.shape[0]
+        grads, failed = elman_window_gradient(
+            xw, dw, pw, hw, np.arange(t - m + 1, t + 1), w, u, theta,
+            wcfg.mode, loss_kind, np.full(m, 1.0 / m), clock,
+        )
+        leaving = []
+        for b in range(len(order)):
+            try:
+                if failed[b] is not None:
+                    raise NumericOverflowError(t, failed[b])
+                member = replace_blocks(template, {"w": w[b], "u": u[b], "theta_out": theta[b]})
+                new, triggered = wogd_step(wcfg, member, {k: g[b] for k, g in grads.items()}, t)
+            except NumericOverflowError as exc:
+                diverged[int(order[b])] = exc
+                leaving.append(b)
+                continue
+            w[b], u[b], theta[b] = new.w, new.u, new.theta_out
+            projections[b] += triggered
+
+        if squared:
+            r = pred - d_t
+            losses[t - 1] = r * r
+        else:
+            losses[t - 1] = [
+                tasks.loss_and_residual(float(y), float(d), loss_kind)[0]
+                for y, d in zip(pred, d_t)
+            ]
+
+        done = []  # (batch position, steps run, sustainable_t)
+        if binary:
+            correct = (pred > 0.5) == (d_t > 0.5)
+            consec = np.where(correct, consec + 1, 0)
+            done = [(b, t, t - cfg.horizon + 1) for b in np.flatnonzero(consec >= cfg.horizon)]
+        if t == total:
+            done += [(b, t, None) for b in range(len(order))]
+        for b, steps_run, sustainable_t in done:
+            if b not in leaving:
+                finished[int(order[b])] = (
+                    losses[:steps_run, b].copy(), sustainable_t, int(projections[b])
+                )
+                leaving.append(b)
+        if leaving:
+            keep = [b for b in range(len(order)) if b not in leaving]
+            if not keep:
+                break
+            order, projections, consec = order[keep], projections[keep], consec[keep]
+            w, u, theta, losses = w[keep], u[keep], theta[keep], losses[:, keep]
+            ring.keep(keep)
+            if binary:
+                bin_states = [bin_states[b] for b in keep]
+            if xs.shape[1] > 1:
+                xs, ds = xs[:, keep], ds[:, keep]
+
+    runtime = (time.perf_counter() - started) / len(seeds)
+    if diverged:
+        raise diverged[min(diverged)]
+    results = []
+    for k, seed in enumerate(seeds):
+        member_losses, sustainable_t, projection_count = finished[k]
+        steps_run = member_losses.shape[0]
+        curve = np.cumsum(member_losses) / np.arange(1, steps_run + 1)
+        results.append(
+            RunResult(
+                label=cfg.label,
+                seed=seed,
+                steps=steps_run,
+                mse=float(curve[-1]),
+                runtime_s=runtime,
+                curve=curve,
+                sustainable_t=sustainable_t,
+                projection_count=projection_count,
+            )
+        )
+    return results
+
+
+def _run_seeds(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[RunResult]:
+    # One lockstep batch when the config allows it, else one run per seed.
+    if batchable(cfg):
+        return run_batch(cfg, seeds)
+    return [run_single(cfg, s) for s in seeds]
 
 
 def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunResult]:
-    """Independent (config, seed) runs, optionally across worker processes;
-    result order follows the seed list regardless of completion order."""
+    """Independent (config, seed) runs; the result order follows the seed list.
+
+    A `batchable` config trains its seeds in lockstep with run_batch; with
+    workers > 1, the seed list is split into that many contiguous chunks, one
+    batch per worker process. Every other config runs run_single per seed,
+    spread over the worker processes one seed at a time. Either way, every
+    field of a result except runtime_s is bitwise the run_single result of
+    its seed.
+    """
     seeds = tuple(seeds) if seeds is not None else cfg.eval_seeds()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_task, [(cfg, s) for s in seeds]))
-    return [run_single(cfg, s) for s in seeds]
+    if batchable(cfg):
+        k = max(1, min(workers, len(seeds)))
+        parts = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
+    else:
+        parts = [(s,) for s in seeds]
+    if workers > 1 and len(parts) > 1:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(workers, len(parts)), mp_context=context) as pool:
+            done = list(pool.map(_run_seeds, [cfg] * len(parts), parts))
+    else:
+        done = [_run_seeds(cfg, part) for part in parts]
+    return [r for part in done for r in part]
 
 
 def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
     """Mean-MSE argmin over learning rates; diverged points are excluded and
     flagged. Ties break toward the smaller rate. Returns (best, rows) where
-    rows are (rate, mean_mse or None, note)."""
+    rows are (rate, mean_mse or None, note).
+
+    The tuning seeds of one rate run as one run_batch when the config is
+    `batchable`, else one run_single per seed; the means are the same.
+    """
     grid = tuple(grid)
     if not grid:
         raise ConfigError("learning-rate grid is empty")
@@ -492,7 +720,7 @@ def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
         else:
             candidate = replace(cfg, learning_rate=rate)
         try:
-            results = [run_single(candidate, s) for s in seeds]
+            results = _run_seeds(candidate, seeds)
         except NumericOverflowError as exc:
             rows.append((rate, None, f"diverged at t={exc.timestep}"))
             continue

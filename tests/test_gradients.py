@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogd.gradients import (
     ActivationTape,
     NumericOverflowError,
+    elman_window_gradient,
     fd_gradient,
     instant_gradient,
     smoothed_loss,
@@ -306,3 +309,56 @@ class TestGradientNormBound:
             g = tbptt_gradient(tape, p)
             assert np.linalg.norm(g["w"]) <= bound_w + 1e-9
             assert np.linalg.norm(g["u"]) <= bound_u + 1e-9
+
+
+class TestLockstepKernel:
+    """The batched Elman kernel against its B = 1 case and the FD oracle."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        m=st.integers(1, 30),
+        n_h=st.integers(1, 6),
+        n_x=st.integers(1, 4),
+        arch=st.sampled_from(["srnn", "cwrnn"]),
+        kind=st.sampled_from([LOSS_SQUARED, LOSS_CROSS_ENTROPY]),
+        mode=st.sampled_from(["replay", "cached"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_members_equal_single_tape(self, batch, m, n_h, n_x, arch, kind, mode, seed):
+        rng = np.random.default_rng(seed)
+        # cwrnn: period 2 on odd sizes leaves units idle every other step
+        periods = (1, 2) if n_h % 2 == 0 else (2,)
+        extra = int(rng.integers(0, 4))  # steps already evicted: non-zero anchor
+        members, tapes = [], []
+        for _ in range(batch):
+            if arch == "srnn":
+                p = random_srnn(n_h, n_x, 0.4, rng)
+            else:
+                p = random_cwrnn(n_h, n_x, periods, 0.4, rng)
+            members.append(p)
+            tapes.append(drive(p, m + extra, rng, kind, capacity=m))
+            # drift the parameters so cached and replay differ
+            members[-1] = replace_blocks(p, {"w": p.w * 0.9, "theta_out": p.theta_out + 0.1})
+
+        recs = [t.records for t in tapes]
+        x = np.array([[r.x for r in rs] for rs in recs]).swapaxes(0, 1)
+        d = np.array([[r.d for r in rs] for rs in recs]).T
+        pred = np.array([[r.prediction for r in rs] for rs in recs]).T
+        h = np.array([[t.anchor.h] + [r.h_new.h for r in t.records] for t in tapes])
+        h = h.swapaxes(0, 1)[..., None]
+        ts = np.arange(extra + 1, extra + m + 1)
+        grads, failed = elman_window_gradient(
+            x, d, pred, h, ts,
+            np.stack([p.w for p in members]), np.stack([p.u for p in members]),
+            np.stack([p.theta_out for p in members]),
+            mode, kind, np.full(m, 1.0 / m), members[0] if arch == "cwrnn" else None,
+        )
+        assert failed == [None] * batch
+        for b, (p, tape) in enumerate(zip(members, tapes)):
+            single = tbptt_gradient(tape, p, mode, kind)
+            for name, g in single.items():
+                assert np.array_equal(grads[name][b], g), name
+        if mode == "replay":
+            g = tbptt_gradient(tapes[0], members[0], "replay", kind)
+            assert max_rel_err(g, fd_gradient(tapes[0], members[0], 1e-6, kind)) <= 1e-5

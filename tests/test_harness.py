@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wogd import tasks
 from wogd.cli import main as cli_main
+from wogd.gradients import NumericOverflowError
 from wogd.harness import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +21,7 @@ from wogd.harness import (
     grid_search,
     load_config,
     parse_config_text,
+    run_batch,
     run_many,
     run_single,
 )
@@ -163,6 +167,96 @@ class TestRunSingle:
                           out_lr_scale=1.0, alpha=0.0)
         res = run_single(cfg, 1)  # must not raise
         assert np.isfinite(res.mse)
+
+
+def _exploding_targets(bad_steps):
+    """synthetic_regression_stream with an infinite target at bad_steps[seed]
+    for the listed seeds; the seed is read off the data generator."""
+    real = tasks.synthetic_regression_stream
+
+    def stream(n_features, steps, rng, n_h, **kwargs):
+        out = real(n_features, steps, rng, n_h, **kwargs)
+        t = bad_steps.get(rng.bit_generator.seed_seq.entropy)
+        if t is not None:
+            out[t - 1] = dataclasses.replace(out[t - 1], d=np.inf)
+        return out
+
+    return stream
+
+
+def _synthetic(**over):
+    base = dict(task="synthetic", features=3, steps=60, model="srnn", n_h=5,
+                optimizer="wogd", eta=0.05, window=20)
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+# name -> (config, how the batched side runs, data patch or None)
+BATCH_CASES = {
+    "replay-evicting": (_synthetic(), run_batch, None),
+    "alpha-0": (_synthetic(steps=40, window=10, alpha=0.0), run_batch, None),
+    "cwrnn": (_synthetic(model="cwrnn", n_h=6, periods=(1, 2, 4), features=2), run_batch, None),
+    "cached": (_synthetic(gradient_mode="cached", window=10), run_batch, None),
+    "csv": (fixture_cfg(), run_batch, None),
+    "binary-add": (
+        ExperimentConfig(task="binary_add", model="srnn", n_h=8, optimizer="wogd",
+                         eta=0.5, window=10, horizon=12, cutoff=700),
+        run_batch, None,
+    ),
+    "run-many-workers-1": (_synthetic(), lambda cfg, s: run_many(cfg, s, workers=1), None),
+    "run-many-workers-2": (_synthetic(), lambda cfg, s: run_many(cfg, s, workers=2), None),
+    "run-many-workers-3": (_synthetic(), lambda cfg, s: run_many(cfg, s, workers=3), None),
+    # seed 4 diverges first in time, seed 2 first in seed order
+    "diverging-members": (_synthetic(), run_batch, {2: 30, 4: 10}),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NumericOverflowError as exc:
+        return exc
+
+
+def assert_same_runs(got, want):
+    if isinstance(want, NumericOverflowError):
+        assert isinstance(got, NumericOverflowError)
+        assert (got.timestep, got.what) == (want.timestep, want.what)
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.label, a.seed, a.steps, a.mse) == (b.label, b.seed, b.steps, b.mse)
+        assert (a.projection_count, a.sustainable_t) == (b.projection_count, b.sustainable_t)
+        assert a.curve.dtype == b.curve.dtype
+        np.testing.assert_array_equal(a.curve, b.curve)
+
+
+class TestRunBatch:
+    SEEDS = (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_bitwise_equal_to_run_single(self, case, monkeypatch):
+        cfg, batched, bad_steps = BATCH_CASES[case]
+        if bad_steps:
+            monkeypatch.setattr(tasks, "synthetic_regression_stream", _exploding_targets(bad_steps))
+        serial = _outcome(lambda: [run_single(cfg, s) for s in self.SEEDS])
+        got = _outcome(lambda: batched(cfg, self.SEEDS))
+        assert_same_runs(got, serial)
+        if bad_steps:
+            assert isinstance(serial, NumericOverflowError) and serial.timestep == bad_steps[2]
+            return
+        # a member's numbers do not depend on the batch it runs in
+        for k, seed in enumerate(self.SEEDS):
+            assert_same_runs(run_batch(cfg, [seed]), [got[k]])
+        if case == "alpha-0":
+            assert all(r.projection_count > 0 for r in got)
+        if case == "binary-add":
+            assert len({r.steps for r in got}) > 1  # members leave at different t
+
+    def test_instrumented_configs_stay_serial(self):
+        with pytest.raises(ConfigError):
+            run_batch(_synthetic(record_regret=True), (1,))
+        assert run_batch(_synthetic(), ()) == []
 
 
 class TestGridSearch:
@@ -319,6 +413,24 @@ class TestCli:
             lines[workers] = capsys.readouterr().err.strip()
         assert lines[1].startswith("error[numeric]: non-finite gradient block 'w' at timestep")
         assert lines[2] == lines[1]
+
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path, capsys):
+        # The error line carries the timestep; numpy's overflow/invalid
+        # warnings from the diverging arithmetic are noise.
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text(
+            "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 60\n"
+            "model = srnn\nn_h = 4\noptimizer = sgd\nlearning_rate = 1e6\n"
+            f"tbptt_depth = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config", str(cfg_path), "--workers", "1"])
+        assert code == 4
+        assert capsys.readouterr().err.strip() == (
+            "error[numeric]: non-finite gradient block 'w' at timestep 25"
+        )
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def failing_svd(*args, **kwargs):
