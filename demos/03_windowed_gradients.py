@@ -8,22 +8,22 @@ against brute-force finite differences.
 import numpy as np
 
 from wogd import ActivationTape, fd_gradient, smoothed_loss, tbptt_gradient
-from wogd.models import StepRecord, random_srnn, readout, step_model, zero_state
+from wogd.models import random_srnn, readout, step_model, zero_state
 
 rng = np.random.default_rng(3)
 params = random_srnn(4, 3, 0.4, rng)
 
-tape = ActivationTape(capacity=8)
 state = zero_state(params)
-for _ in range(12):  # ring keeps only the last 8
+tape = ActivationTape(capacity=8, h0=state.h, n_x=3)
+for _ in range(12):  # the tape keeps only the last 8
     x = rng.uniform(-1.0, 1.0, 3)
     d = rng.uniform(-1.0, 1.0)
     new_state, _ = step_model(params, state, x)
     pred = readout(params, new_state, "squared")
-    tape.push(StepRecord(x=x, d=d, h_prev=state, h_new=new_state, prediction=pred))
+    tape.push(x, d, pred, new_state.h)
     state = new_state
 
-print(f"tape holds {len(tape)} of the last steps; anchor sits at t={tape.anchor.t}")
+print(f"tape holds {len(tape)} of the last steps; anchor sits at t={tape.ts[0] - 1}")
 print("windowed loss at the current weights:", round(smoothed_loss(tape, params), 6))
 
 g_replay = tbptt_gradient(tape, params, mode="replay")

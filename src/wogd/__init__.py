@@ -49,7 +49,6 @@ from .models import (
     LstmGates,
     LstmParams,
     SrnnParams,
-    StepRecord,
     cwrnn_step,
     lstm_step,
     predict_sigmoid,

@@ -21,6 +21,7 @@ __all__ = [
     "smoothness_bounds",
     "regret_bound",
     "estimate_smoothness",
+    "write_csv",
 ]
 
 
@@ -171,12 +172,26 @@ class RegretLedger:
         return np.asarray(vals, dtype=np.float64)
 
     def to_csv(self, path) -> None:
-        beta = self.beta_exp
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,grad_sq_theta,grad_sq_mu,regret,normalized_regret,beta_exp\n")
-            for i in range(len(self.regret)):
-                cell = "" if beta[i] is None else repr(beta[i])
-                fh.write(
-                    f"{i + 1},{self.grad_sq_theta[i]!r},{self.grad_sq_mu[i]!r},"
-                    f"{self.regret[i]!r},{self.normalized[i]!r},{cell}\n"
-                )
+        write_csv(
+            path,
+            ["t", "grad_sq_theta", "grad_sq_mu", "regret", "normalized_regret", "beta_exp"],
+            [range(1, len(self) + 1), self.grad_sq_theta, self.grad_sq_mu, self.regret,
+             self.normalized, self.beta_exp],
+        )
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """One row per index of the equal-length columns. Floats are written
+    with full repr precision; None and NaN cells are left empty."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            cells = []
+            for val in row:
+                if val is None or (isinstance(val, float) and math.isnan(val)):
+                    cells.append("")
+                elif isinstance(val, (float, np.floating)):
+                    cells.append(repr(float(val)))
+                else:
+                    cells.append(str(val))
+            fh.write(",".join(cells) + "\n")

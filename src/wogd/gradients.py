@@ -1,8 +1,9 @@
 """Gradients of the time-smoothed loss via truncated backpropagation.
 
-The tape keeps the last `w` observed steps plus the hidden state at the
-window's left edge (the anchor); ``WindowRing`` is its array form for runs
-trained in lockstep. Gradients come in two flavours:
+The ``ActivationTape`` keeps the last `w` observed steps of one run, or of B
+runs trained in lockstep, plus the hidden state at the window's left edge
+(the anchor), as time-major arrays whose windows are contiguous views.
+Gradients come in two flavours:
 
 * ``replay`` (default): re-run the forward pass from the anchor over the
   window's inputs with the *current* parameters, then backpropagate the mean
@@ -15,24 +16,21 @@ trained in lockstep. Gradients come in two flavours:
 ``instant_gradient`` is the cached-mode gradient of the newest loss only and
 is what the first-order baselines (SGD/RMSprop/Adam) consume.
 
-All gradients are returned as a dict keyed by parameter-block name, with the
-same shapes as the corresponding parameter arrays (``elman_window_gradient``
-adds a leading member axis).
+``tbptt_gradient``, ``instant_gradient``, ``smoothed_loss`` and
+``fd_gradient`` read a one-run tape. All gradients are returned as a dict
+keyed by parameter-block name, with the same shapes as the corresponding
+parameter arrays (``elman_window_gradient`` adds a leading member axis).
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import (
     CwrnnParams,
-    HiddenState,
+    LstmGates,
     LstmParams,
     SrnnParams,
-    StepRecord,
     param_blocks,
     replace_blocks,
 )
@@ -55,154 +53,113 @@ class NumericOverflowError(RuntimeError):
         return type(self), (self.timestep, self.what)
 
 
-class ActivationTape:
-    """Ring buffer of the last `capacity` StepRecords plus the anchor state.
+_STATES = ("h", "c")  # arrays that also hold the anchor, one entry ahead
 
-    Single-writer: owned by one training run. The anchor always sits one
-    timestep before the oldest record, so a replay from the anchor over the
-    recorded inputs reproduces the recorded window.
+
+class ActivationTape:
+    """The last `capacity` steps of B runs plus the anchor state one step
+    before the oldest of them; one run is the B = 1 case.
+
+    Single-writer: owned by one training loop. Steps are numbered 1, 2, ...
+    in push order; `t` is the newest and `ts` the window's. The arrays hold
+    up to 2 * capacity steps. When they are full, the kept window and its
+    anchor shift to the front in place, so memory stays O(capacity) and every
+    window is a contiguous time-major view: inputs x (m, B, n_x), targets d
+    and recorded predictions pred (m, B), states h (m + 1, B, n_h) with h[0]
+    the anchor. A tape made with an anchor cell c0 is an LSTM tape: it also
+    holds the cells c (m + 1, B, n_h) and the gates i, f, o, g (m, B, n_h).
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, h0: np.ndarray, n_x: int, c0: np.ndarray | None = None):
         if capacity < 1:
             raise ValueError(f"tape capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._records: deque[StepRecord] = deque()
-        self.anchor: HiddenState | None = None
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> tuple[StepRecord, ...]:
-        return tuple(self._records)
-
-    @property
-    def newest_t(self) -> int:
-        if not self._records:
-            raise ValueError("tape is empty")
-        return self._records[-1].t
-
-    def push(self, record: StepRecord) -> "ActivationTape":
-        if record.h_new.t != record.h_prev.t + 1:
-            raise ValueError(
-                f"record states not consecutive: {record.h_prev.t} -> {record.h_new.t}"
-            )
-        if self._records:
-            if record.t != self._records[-1].t + 1:
-                raise ValueError(
-                    f"non-contiguous push: tape ends at t={self._records[-1].t}, "
-                    f"record has t={record.t}"
-                )
-        else:
-            self.anchor = record.h_prev
-        self._records.append(record)
-        if len(self._records) > self.capacity:
-            evicted = self._records.popleft()
-            self.anchor = evicted.h_new
-        return self
-
-
-class WindowRing:
-    """Time-major window of B runs trained in lockstep: the last `capacity`
-    steps of each plus the anchor state one step before the oldest of them.
-
-    The arrays hold up to 2 * capacity steps. When they are full, the kept
-    window and its anchor shift to the front in place, so memory stays
-    O(capacity) and every window is a contiguous view in the layout of the
-    Elman kernels: x (m, B, n_x), d and pred (m, B), h (m + 1, B, n_h, 1).
-    """
-
-    def __init__(self, capacity: int, h0: np.ndarray, n_x: int):
-        if capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {capacity}")
+        h0 = np.atleast_2d(h0)
         batch, n_h = h0.shape
         size = 2 * capacity
         self.capacity = capacity
-        self.x = np.empty((size, batch, n_x))
-        self.d = np.empty((size, batch))
-        self.pred = np.empty((size, batch))
-        self.h = np.empty((size + 1, batch, n_h, 1))
-        self.h[0, :, :, 0] = h0
+        self._buf = {
+            "x": np.empty((size, batch, n_x)),
+            "d": np.empty((size, batch)),
+            "pred": np.empty((size, batch)),
+            "h": np.empty((size + 1, batch, n_h)),
+        }
+        self._buf["h"][0] = h0
+        if c0 is not None:
+            self._buf["c"] = np.empty((size + 1, batch, n_h))
+            self._buf["c"][0] = c0
+            for gate in "ifog":
+                self._buf[gate] = np.empty((size, batch, n_h))
         self.start = 0  # oldest step of the window; h[start] is its anchor
         self.end = 0  # one past the newest step
+        self.t = 0
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def _view(self, name: str) -> np.ndarray:
+        return self._buf[name][self.start : self.end + (name in _STATES)]
+
+    x = property(lambda self: self._view("x"))
+    d = property(lambda self: self._view("d"))
+    pred = property(lambda self: self._view("pred"))
+    h = property(lambda self: self._view("h"))
+
+    @property
+    def c(self) -> np.ndarray | None:
+        return self._view("c") if "c" in self._buf else None
+
+    @property
+    def gates(self) -> tuple[np.ndarray, ...] | None:
+        """Views (i, f, o, g) of an LSTM tape, None on any other."""
+        return tuple(self._view(g) for g in "ifog") if "c" in self._buf else None
+
+    @property
+    def ts(self) -> np.ndarray:
+        return np.arange(self.t - len(self) + 1, self.t + 1)
 
     @property
     def state(self) -> np.ndarray:
-        """Newest hidden states, (B, n_h, 1)."""
-        return self.h[self.end]
+        """Newest hidden states, (B, n_h)."""
+        return self._buf["h"][self.end]
 
-    def push(self, x, d, pred, h_new) -> None:
-        if self.end == self.x.shape[0]:
+    def push(self, x, d, pred, h, gates: LstmGates | None = None) -> "ActivationTape":
+        """Append one step of every member: input, target, prediction, new
+        hidden state and, on an LSTM tape, the step's gate record (whose
+        c_new is the new cell)."""
+        buf = self._buf
+        if self.end == len(buf["x"]):
             s, m = self.start, self.end - self.start
-            for a in (self.x, self.d, self.pred):
-                a[:m] = a[s : s + m]
-            self.h[: m + 1] = self.h[s : s + m + 1]
+            for name, a in buf.items():
+                n = m + (name in _STATES)
+                a[:n] = a[s : s + n]
             self.start, self.end = 0, m
         e = self.end
-        self.x[e] = x
-        self.d[e] = d
-        self.pred[e] = pred
-        self.h[e + 1] = h_new
+        buf["x"][e] = x
+        buf["d"][e] = d
+        buf["pred"][e] = pred
+        buf["h"][e + 1] = h
+        if "c" in buf:
+            buf["c"][e + 1] = gates.c_new
+            for gate in "ifog":
+                buf[gate][e] = getattr(gates, gate)
         self.end = e + 1
+        self.t += 1
         if self.end - self.start > self.capacity:
             self.start += 1
-
-    def window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Views (x, d, pred, h) of the current window, h[0] the anchor."""
-        s, e = self.start, self.end
-        return self.x[s:e], self.d[s:e], self.pred[s:e], self.h[s : e + 1]
+        return self
 
     def keep(self, members) -> None:
         """Drop every member not listed, by batch position."""
-        self.x = self.x[:, members]
-        self.d = self.d[:, members]
-        self.pred = self.pred[:, members]
-        self.h = self.h[:, members]
+        self._buf = {name: a[:, members] for name, a in self._buf.items()}
 
 
-@dataclass
-class _Window:
-    """Stacked view of the tape used by the vectorized kernels."""
-
-    x: np.ndarray  # (m, n_x)
-    d: np.ndarray  # (m,)
-    pred: np.ndarray  # (m,) recorded predictions
-    h_rec: np.ndarray  # (m + 1, n_h) anchor plus recorded states
-    ts: np.ndarray  # (m,) timesteps of the records
-    anchor: HiddenState
-    gates: tuple[np.ndarray, ...] | None = None  # LSTM: (i, f, o, g, c_prev, c_new)
-
-    @property
-    def m(self) -> int:
-        return self.x.shape[0]
-
-
-def _window(tape: ActivationTape) -> _Window:
+def _window_length(tape: ActivationTape) -> int:
+    # The single-run operations read member 0 of a one-member tape.
+    if tape.state.shape[0] != 1:
+        raise ValueError(f"expected a one-run tape, got {tape.state.shape[0]} members")
     if len(tape) == 0:
         raise ValueError("tape is empty")
-    recs = tape.records
-    m = len(recs)
-    n_x = recs[0].x.shape[0]
-    n_h = tape.anchor.h.shape[0]
-    x = np.empty((m, n_x))
-    d = np.empty(m)
-    pred = np.empty(m)
-    h_rec = np.empty((m + 1, n_h))
-    h_rec[0] = tape.anchor.h
-    for i, r in enumerate(recs):
-        x[i] = r.x
-        d[i] = r.d
-        pred[i] = r.prediction
-        h_rec[i + 1] = r.h_new.h
-    ts = tape.anchor.t + 1 + np.arange(m)
-    gates = None
-    if recs[0].gates is not None:
-        gates = tuple(
-            np.stack([getattr(r.gates, name) for r in recs])
-            for name in ("i", "f", "o", "g", "c_prev", "c_new")
-        )
-    return _Window(x=x, d=d, pred=pred, h_rec=h_rec, ts=ts, anchor=tape.anchor, gates=gates)
+    return len(tape)
 
 
 def _check_finite(arr: np.ndarray, tape_end_t: int, what: str) -> None:
@@ -355,15 +312,17 @@ def elman_window_gradient(
 ) -> tuple[dict[str, np.ndarray], list[str | None]]:
     """Loss-weighted window gradients of B Elman runs in lockstep.
 
-    The window is time-major (see the section comment): inputs x, targets d,
-    recorded predictions pred, the anchor plus recorded states h, and the
-    timesteps ts. Replay mode re-runs the window from h[0] with the stacked
-    parameters (w, u, theta); cached mode uses the recorded pred and h.
+    The window is time-major, as an ActivationTape holds it: inputs x
+    (m, B, n_x), targets d and recorded predictions pred (m, B), the anchor
+    plus recorded states h (m + 1, B, n_h), and the timesteps ts. Replay mode
+    re-runs the window from h[0] with the stacked parameters (w, u, theta);
+    cached mode uses the recorded pred and h.
     `clock` is any CwrnnParams of the runs' clockwork family, None for the
     SRNN. Returns the gradient stacks and, per member, the first non-finite
     quantity in the order the single-tape path checks them (or None).
     """
     active = None
+    h = h[..., None]  # the kernels' state layout, (m + 1, B, n_h, 1)
     xb = _member_major(x)
     if mode == "replay":
         if clock is None:
@@ -396,15 +355,14 @@ def elman_window_gradient(
     return grads, failed
 
 
-def _elman_tape_gradient(win: _Window, p, mode: str, loss_kind: str, weights: np.ndarray):
+def _elman_tape_gradient(tape: ActivationTape, p, mode: str, loss_kind: str, weights: np.ndarray):
     # The B = 1 case of the lockstep kernel, for one tape.
     grads, failed = elman_window_gradient(
-        win.x[:, None], win.d[:, None], win.pred[:, None], win.h_rec[:, None, :, None],
-        win.ts, p.w[None], p.u[None], p.theta_out[None], mode, loss_kind, weights,
-        p if isinstance(p, CwrnnParams) else None,
+        tape.x, tape.d, tape.pred, tape.h, tape.ts, p.w[None], p.u[None], p.theta_out[None],
+        mode, loss_kind, weights, p if isinstance(p, CwrnnParams) else None,
     )
     if failed[0] is not None:
-        raise NumericOverflowError(int(win.ts[-1]), failed[0])
+        raise NumericOverflowError(tape.t, failed[0])
     return {name: g[0] for name, g in grads.items()}
 
 
@@ -420,14 +378,21 @@ def _lstm_stacks(p: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, u, b
 
 
-def _lstm_forward(win: _Window, p: LstmParams):
-    m, n_h = win.m, p.n_h
+def _lstm_window(tape: ActivationTape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The one run of an LSTM tape: x (m, n_x), states h and cells c (m + 1, n_h).
+    if tape.c is None:
+        raise ValueError("LSTM gradients need a tape made with an anchor cell c0")
+    return tape.x[:, 0], tape.h[:, 0], tape.c[:, 0]
+
+
+def _lstm_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray, p: LstmParams):
+    m, n_h = x.shape[0], p.n_h
     wst, ust, bst = _lstm_stacks(p)
-    uxb = win.x @ ust.T + bst
+    uxb = x @ ust.T + bst
     h = np.empty((m + 1, n_h))
     c = np.empty((m + 1, n_h))
-    h[0] = win.anchor.h
-    c[0] = win.anchor.c
+    h[0] = h0
+    c[0] = c0
     gi = np.empty((m, n_h))
     gf = np.empty((m, n_h))
     go = np.empty((m, n_h))
@@ -446,15 +411,15 @@ def _lstm_forward(win: _Window, p: LstmParams):
     return h, c, gi, gf, go, gg, tc
 
 
-def _lstm_loss_forward(win: _Window, p: LstmParams) -> np.ndarray:
+def _lstm_loss_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray, p: LstmParams) -> np.ndarray:
     # State-only forward for loss evaluations (finite differences): no gate
     # records are kept.
-    m, n_h = win.m, p.n_h
+    m, n_h = x.shape[0], p.n_h
     wst, ust, bst = _lstm_stacks(p)
-    uxb = win.x @ ust.T + bst
+    uxb = x @ ust.T + bst
     h = np.empty((m + 1, n_h))
-    h[0] = win.anchor.h
-    c = win.anchor.c
+    h[0] = h0
+    c = c0
     for i in range(m):
         a = wst @ h[i] + uxb[i]
         sig = _vsigmoid(a[: 3 * n_h])
@@ -521,25 +486,25 @@ def smoothed_loss(tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED) -
     Replay semantics: the window is re-run from the anchor with the given
     parameters, so this is a function of (tape contents, params).
     """
-    win = _window(tape)
-    return _smoothed_loss_from_window(win, params, loss_kind)
+    _window_length(tape)
+    return _smoothed_loss(tape, params, loss_kind)
 
 
-def _smoothed_loss_from_window(win: _Window, params, loss_kind: str) -> float:
-    if isinstance(params, SrnnParams):
-        h = _srnn_forward(win.x[None], win.h_rec[:1, :, None], params.w[None], params.u[None])
-        h = h[:, 0, :, 0]
-    elif isinstance(params, CwrnnParams):
-        h, _, _ = _cwrnn_forward(
-            win.x[None], win.h_rec[:1, :, None], win.ts, params.w[None], params.u[None], params
-        )
+def _smoothed_loss(tape: ActivationTape, params, loss_kind: str) -> float:
+    if isinstance(params, (SrnnParams, CwrnnParams)):
+        xb, h0 = _member_major(tape.x), tape.h[0][..., None]
+        if isinstance(params, SrnnParams):
+            h = _srnn_forward(xb, h0, params.w[None], params.u[None])
+        else:
+            h, _, _ = _cwrnn_forward(xb, h0, tape.ts, params.w[None], params.u[None], params)
         h = h[:, 0, :, 0]
     elif isinstance(params, LstmParams):
-        h = _lstm_loss_forward(win, params)
+        x, h_rec, c_rec = _lstm_window(tape)
+        h = _lstm_loss_forward(x, h_rec[0], c_rec[0], params)
     else:
         raise TypeError(f"unknown parameter type {type(params).__name__}")
     preds = _predictions(h[1:], params.theta_out, loss_kind)
-    return _mean_loss(preds, win.d, loss_kind)
+    return _mean_loss(preds, tape.d[:, 0], loss_kind)
 
 
 def tbptt_gradient(
@@ -551,8 +516,8 @@ def tbptt_gradient(
     """Gradient of the time-smoothed loss w.r.t. every parameter block."""
     if mode not in GRADIENT_MODES:
         raise ValueError(f"mode must be one of {GRADIENT_MODES}, got {mode!r}")
-    win = _window(tape)
-    return _tape_gradient(win, params, mode, loss_kind, np.full(win.m, 1.0 / win.m))
+    m = _window_length(tape)
+    return _tape_gradient(tape, params, mode, loss_kind, np.full(m, 1.0 / m))
 
 
 def instant_gradient(
@@ -560,10 +525,9 @@ def instant_gradient(
 ) -> dict[str, np.ndarray]:
     """Classical TBPTT: gradient of the newest loss backpropagated through
     the stored activations, truncated at the tape anchor."""
-    win = _window(tape)
-    weights = np.zeros(win.m)
+    weights = np.zeros(_window_length(tape))
     weights[-1] = 1.0
-    return _tape_gradient(win, params, "cached", loss_kind, weights)
+    return _tape_gradient(tape, params, "cached", loss_kind, weights)
 
 
 def _residuals(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -571,36 +535,36 @@ def _residuals(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return preds - targets
 
 
-def _tape_gradient(win: _Window, params, mode: str, loss_kind: str, weights: np.ndarray):
+def _tape_gradient(tape: ActivationTape, params, mode: str, loss_kind: str, weights: np.ndarray):
     if isinstance(params, (SrnnParams, CwrnnParams)):
-        return _elman_tape_gradient(win, params, mode, loss_kind, weights)
+        return _elman_tape_gradient(tape, params, mode, loss_kind, weights)
     if not isinstance(params, LstmParams):
         raise TypeError(f"unknown parameter type {type(params).__name__}")
     if mode == "replay":
-        grads = _lstm_replay_gradient(win, params, loss_kind, weights)
+        grads = _lstm_replay_gradient(tape, params, loss_kind, weights)
     else:
-        grads = _lstm_cached_gradient(win, params, weights)
+        grads = _lstm_cached_gradient(tape, params, weights)
     for name, g in grads.items():
-        _check_finite(g, int(win.ts[-1]), f"gradient block {name!r}")
+        _check_finite(g, tape.t, f"gradient block {name!r}")
     return grads
 
 
-def _lstm_replay_gradient(win: _Window, params: LstmParams, loss_kind: str, weights: np.ndarray):
-    h, c, gi, gf, go, gg, tc = _lstm_forward(win, params)
-    _check_finite(h, int(win.ts[-1]), "hidden state")
-    _check_finite(c, int(win.ts[-1]), "cell state")
+def _lstm_replay_gradient(tape: ActivationTape, params: LstmParams, loss_kind: str, weights):
+    x, h_rec, c_rec = _lstm_window(tape)
+    h, c, gi, gf, go, gg, tc = _lstm_forward(x, h_rec[0], c_rec[0], params)
+    _check_finite(h, tape.t, "hidden state")
+    _check_finite(c, tape.t, "cell state")
     preds = _predictions(h[1:], params.theta_out, loss_kind)
-    resid_w = _residuals(preds, win.d) * weights
-    return _lstm_backward(params, h, c[:-1], gi, gf, go, gg, tc, win.x, resid_w)
+    resid_w = _residuals(preds, tape.d[:, 0]) * weights
+    return _lstm_backward(params, h, c[:-1], gi, gf, go, gg, tc, x, resid_w)
 
 
-def _lstm_cached_gradient(win: _Window, params: LstmParams, weights: np.ndarray):
-    if win.gates is None:
-        raise ValueError("cached LSTM gradient requires gate records on the tape")
-    resid_w = _residuals(win.pred, win.d) * weights
-    gi, gf, go, gg, c_prev, c_new = win.gates
-    tc = np.tanh(c_new)
-    return _lstm_backward(params, win.h_rec, c_prev, gi, gf, go, gg, tc, win.x, resid_w)
+def _lstm_cached_gradient(tape: ActivationTape, params: LstmParams, weights: np.ndarray):
+    x, h_rec, c_rec = _lstm_window(tape)
+    resid_w = _residuals(tape.pred[:, 0], tape.d[:, 0]) * weights
+    gi, gf, go, gg = (a[:, 0] for a in tape.gates)
+    tc = np.tanh(c_rec[1:])
+    return _lstm_backward(params, h_rec, c_rec[:-1], gi, gf, go, gg, tc, x, resid_w)
 
 
 def fd_gradient(
@@ -617,7 +581,7 @@ def fd_gradient(
     """
     if not (1e-8 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-8, 1e-3], got {eps}")
-    win = _window(tape)
+    _window_length(tape)
     grads: dict[str, np.ndarray] = {}
     for name, arr in param_blocks(params):
         work = arr.copy()
@@ -628,9 +592,9 @@ def fd_gradient(
         for k in range(flat_w.size):
             orig = flat_w[k]
             flat_w[k] = orig + eps
-            up = _smoothed_loss_from_window(win, probe, loss_kind)
+            up = _smoothed_loss(tape, probe, loss_kind)
             flat_w[k] = orig - eps
-            down = _smoothed_loss_from_window(win, probe, loss_kind)
+            down = _smoothed_loss(tape, probe, loss_kind)
             flat_w[k] = orig
             flat_g[k] = (up - down) / (2.0 * eps)
         grads[name] = g

@@ -62,13 +62,12 @@ from . import analysis, models, tasks
 from .gradients import (
     ActivationTape,
     NumericOverflowError,
-    WindowRing,
     elman_window_gradient,
     instant_gradient,
     tbptt_gradient,
 )
 from .linalg import spectral_norm
-from .models import StepRecord, replace_blocks
+from .models import replace_blocks
 from .optim import BaselineConfig, WogdConfig, baseline_step, projected_gradient, wogd_step
 
 SCHEMA_VERSION = 1
@@ -250,6 +249,14 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append("csv task requires a dataset path")
     if cfg.task == "synthetic" and cfg.steps < 1:
         p.append("synthetic task requires steps >= 1")
+    if cfg.task == "synthetic" and cfg.features < 1:
+        p.append("synthetic task requires features >= 1")
+    if cfg.init_std < 0:
+        p.append("init_std must be >= 0")
+    if cfg.tbptt_depth < 0:
+        p.append("tbptt_depth must be >= 0 (0: use window)")
+    elif cfg.optimizer != "wogd" and cfg.tape_depth < 1:
+        p.append("window must be >= 1 (the tape depth when tbptt_depth = 0)")
     if cfg.task == "binary_add":
         if cfg.n_sequences not in (2, 3):
             p.append("n_sequences must be 2 or 3")
@@ -378,7 +385,7 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     n_x = (cfg.n_sequences + 1) if binary else stream[0].x.shape[0]
     params = _build_params(cfg, n_x, rng_init)
     state = models.zero_state(params)
-    tape = ActivationTape(cfg.tape_depth)
+    tape = ActivationTape(cfg.tape_depth, state.h, n_x, state.c)
 
     wcfg = bcfg = None
     if cfg.optimizer == "wogd":
@@ -414,12 +421,7 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
         new_state, gates = models.step_model(params, state, sample.x)
         pred = models.readout(params, new_state, loss_kind)
         loss_val, _ = tasks.loss_and_residual(pred, sample.d, loss_kind)
-        tape.push(
-            StepRecord(
-                x=sample.x, d=sample.d, h_prev=state, h_new=new_state,
-                prediction=pred, gates=gates,
-            )
-        )
+        tape.push(sample.x, sample.d, pred, new_state.h, gates)
 
         if cfg.optimizer == "wogd":
             grads = tbptt_gradient(tape, params, wcfg.mode, loss_kind)
@@ -521,12 +523,12 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     Every field of every result except runtime_s is bit for bit what
     run_single(cfg, seed) returns, whichever seeds share the batch: each
     member keeps its own generators, stream, parameters and window, and only
-    the numpy calls are shared (stacked parameters, one time-major window
-    ring, the batched Elman kernel). runtime_s is the batch's wall time over
-    the number of seeds. A member leaves the batch when it reaches the
-    binary-addition horizon or when its gradient or update turns non-finite;
-    the others finish, and then the NumericOverflowError of the first
-    diverged seed (in seed order) is raised, as the serial loop would.
+    the numpy calls are shared (stacked parameters, one ActivationTape with
+    a member axis, the batched Elman kernel). runtime_s is the batch's wall
+    time over the number of seeds. A member leaves the batch when it reaches
+    the binary-addition horizon or when its gradient or update turns
+    non-finite; the others finish, and then the NumericOverflowError of the
+    first diverged seed (in seed order) is raised, as the serial loop would.
     """
     seeds = tuple(seeds)
     if not batchable(cfg):
@@ -558,7 +560,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     w = np.stack([p.w for p in members])
     u = np.stack([p.u for p in members])
     theta = np.stack([p.theta_out for p in members])
-    ring = WindowRing(cfg.window, np.zeros((len(seeds), cfg.n_h)), n_x)
+    tape = ActivationTape(cfg.window, np.zeros((len(seeds), cfg.n_h)), n_x)
     wcfg = WogdConfig(
         eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
         out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
@@ -583,19 +585,18 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         else:
             x_t, d_t = xs[t - 1], ds[t - 1]
 
-        h = ring.state
+        h = tape.state[..., None]
         w_now = w if clock is None else w * clock.recurrent_mask()
         h_new = np.tanh(np.matmul(w_now, h) + np.matmul(u, x_t[..., None]))
         if clock is not None:
             h_new = np.where(clock.active_units(t)[:, None], h_new, h)
         z = np.matmul(theta[:, None, :], h_new)[:, 0, 0]
         pred = z if squared else models.sigmoid(z)
-        ring.push(x_t, d_t, pred, h_new)
+        tape.push(x_t, d_t, pred, h_new[..., 0])
 
-        xw, dw, pw, hw = ring.window()
-        m = xw.shape[0]
+        m = len(tape)
         grads, failed = elman_window_gradient(
-            xw, dw, pw, hw, np.arange(t - m + 1, t + 1), w, u, theta,
+            tape.x, tape.d, tape.pred, tape.h, tape.ts, w, u, theta,
             wcfg.mode, loss_kind, np.full(m, 1.0 / m), clock,
         )
         leaving = []
@@ -640,7 +641,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                 break
             order, projections, consec = order[keep], projections[keep], consec[keep]
             w, u, theta, losses = w[keep], u[keep], theta[keep], losses[:, keep]
-            ring.keep(keep)
+            tape.keep(keep)
             if binary:
                 bin_states = [bin_states[b] for b in keep]
             if xs.shape[1] > 1:
@@ -802,23 +803,6 @@ def aggregate(results: list[RunResult]) -> Summary:
     return Summary(rows=rows, curves=curves, regret=regret, smoothness=smooth, seeds=seeds)
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray | list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        n = len(columns[0])
-        for i in range(n):
-            cells = []
-            for col in columns:
-                val = col[i]
-                if isinstance(val, float) and math.isnan(val):
-                    cells.append("")
-                elif isinstance(val, (float, np.floating)):
-                    cells.append(repr(float(val)))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
-
-
 def emit_outputs(summary: Summary, out_dir, config_mapping: dict | None = None) -> list[str]:
     """Write summary.csv, curves.csv, regret.csv, smoothness.csv (the last two
     only when instrumentation exists) plus a manifest.json recording the exact
@@ -844,7 +828,7 @@ def emit_outputs(summary: Summary, out_dir, config_mapping: dict | None = None) 
     written.append(spath.name)
 
     n = min(c.shape[0] for c in summary.curves.values())
-    _write_csv(
+    analysis.write_csv(
         out / "curves.csv",
         ["t"] + labels,
         [np.arange(1, n + 1)] + [summary.curves[lab][:n] for lab in labels],
@@ -859,7 +843,7 @@ def emit_outputs(summary: Summary, out_dir, config_mapping: dict | None = None) 
         for lab in rlabels:
             header += [f"{lab}:regret", f"{lab}:normalized_regret"]
             cols += [summary.regret[lab][0][:n], summary.regret[lab][1][:n]]
-        _write_csv(out / "regret.csv", header, cols)
+        analysis.write_csv(out / "regret.csv", header, cols)
         written.append("regret.csv")
 
     if summary.smoothness:
@@ -870,7 +854,7 @@ def emit_outputs(summary: Summary, out_dir, config_mapping: dict | None = None) 
         for lab in slabels:
             header += [f"{lab}:beta_exp_mean", f"{lab}:beta_exp_max"]
             cols += [summary.smoothness[lab][0][:n], summary.smoothness[lab][1][:n]]
-        _write_csv(out / "smoothness.csv", header, cols)
+        analysis.write_csv(out / "smoothness.csv", header, cols)
         written.append("smoothness.csv")
 
     manifest = {

@@ -50,22 +50,6 @@ class LstmGates:
     c_new: np.ndarray
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One observed step: input, target, surrounding states, prediction."""
-
-    x: np.ndarray
-    d: float
-    h_prev: HiddenState
-    h_new: HiddenState
-    prediction: float
-    gates: LstmGates | None = None
-
-    @property
-    def t(self) -> int:
-        return self.h_new.t
-
-
 def _check_vec(name: str, v: np.ndarray, n: int) -> None:
     if v.shape != (n,):
         raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")

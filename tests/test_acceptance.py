@@ -18,7 +18,6 @@ from wogd.harness import ExperimentConfig, run_single
 from wogd.linalg import clip_singular_values, project_l2_ball, spectral_norm
 from wogd.models import (
     SrnnParams,
-    StepRecord,
     random_cwrnn,
     random_lstm,
     random_srnn,
@@ -56,15 +55,14 @@ def _random_model(arch: str, n_h: int, n_x: int, rng):
 
 
 def _fill_tape(params, steps, capacity, rng, loss_kind):
-    tape = ActivationTape(capacity)
     state = zero_state(params)
+    tape = ActivationTape(capacity, state.h, params.n_x, state.c)
     for _ in range(steps):
         x = rng.uniform(-1.0, 1.0, params.n_x)
         d = rng.uniform(-1.0, 1.0) if loss_kind == LOSS_SQUARED else float(rng.integers(0, 2))
         new_state, gates = step_model(params, state, x)
         pred = readout(params, new_state, loss_kind)
-        tape.push(StepRecord(x=x, d=d, h_prev=state, h_new=new_state,
-                             prediction=pred, gates=gates))
+        tape.push(x, d, pred, new_state.h, gates)
         state = new_state
     return tape
 

@@ -7,6 +7,7 @@ import pytest
 
 from wogd.analysis import (
     RegretLedger,
+    SmoothnessEstimate,
     estimate_smoothness,
     regret_bound,
     smoothness_bounds,
@@ -111,6 +112,7 @@ class TestRegretLedger:
         pg = {"w": np.ones((3, 3)), "u": np.ones((3, 2)), "theta_out": np.zeros(3)}
         led.record_regret(pg)
         led.record_regret(pg)
+        led.record_smoothness(SmoothnessEstimate(beta_theta=0.25, beta_mu=1.5))
         path = tmp_path / "ledger.csv"
         led.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -120,6 +122,8 @@ class TestRegretLedger:
         assert first[0] == "1"
         assert float(first[1]) == 9.0
         assert float(first[2]) == 6.0
+        assert first[5] == ""  # no smoothness sample at this step
+        assert lines[2] == "2,9.0,6.0,30.0,15.0,1.5"
 
 
 class TestEstimateSmoothness:

@@ -17,8 +17,9 @@ from wogd.gradients import (
     tbptt_gradient,
 )
 from wogd.models import (
+    HiddenState,
+    LstmGates,
     SrnnParams,
-    StepRecord,
     random_cwrnn,
     random_lstm,
     random_srnn,
@@ -37,9 +38,9 @@ MAKERS = {
 
 
 def drive(params, steps, rng, loss_kind=LOSS_SQUARED, capacity=None):
-    """Run the model over random data, pushing records onto a fresh tape."""
-    tape = ActivationTape(capacity or steps)
+    """Run the model over random data, pushing each step onto a fresh tape."""
     state = zero_state(params)
+    tape = ActivationTape(capacity or steps, state.h, params.n_x, state.c)
     for _ in range(steps):
         x = rng.uniform(-1.0, 1.0, params.n_x)
         if loss_kind == LOSS_SQUARED:
@@ -48,19 +49,20 @@ def drive(params, steps, rng, loss_kind=LOSS_SQUARED, capacity=None):
             d = float(rng.integers(0, 2))
         new_state, gates = step_model(params, state, x)
         pred = readout(params, new_state, loss_kind)
-        tape.push(StepRecord(x=x, d=d, h_prev=state, h_new=new_state, prediction=pred, gates=gates))
+        tape.push(x, d, pred, new_state.h, gates)
         state = new_state
     return tape
 
 
 def naive_smoothed_loss(tape, params, loss_kind):
-    """Oracle: per-record replay with the plain step functions."""
-    state = tape.anchor
+    """Oracle: per-step replay with the plain step functions."""
+    c = None if tape.c is None else tape.c[0, 0]
+    state = HiddenState(h=tape.h[0, 0], t=int(tape.ts[0]) - 1, c=c)
     total = 0.0
-    for rec in tape.records:
-        state, _ = step_model(params, state, rec.x)
+    for x, d in zip(tape.x[:, 0], tape.d[:, 0]):
+        state, _ = step_model(params, state, x)
         pred = readout(params, state, loss_kind)
-        total += loss_and_residual(pred, rec.d, loss_kind)[0]
+        total += loss_and_residual(pred, d, loss_kind)[0]
     return total / len(tape)
 
 
@@ -76,45 +78,90 @@ class TestTape:
     def test_push_onto_empty(self):
         rng = np.random.default_rng(0)
         p = random_srnn(2, 2, 0.3, rng)
-        tape = ActivationTape(4)
         state = zero_state(p)
+        tape = ActivationTape(4, state.h, 2)
         new_state, _ = step_model(p, state, np.zeros(2))
-        rec = StepRecord(x=np.zeros(2), d=0.0, h_prev=state, h_new=new_state, prediction=0.0)
-        tape.push(rec)
+        tape.push(np.zeros(2), 0.0, 0.0, new_state.h)
         assert len(tape) == 1
-        assert tape.anchor is state
+        np.testing.assert_array_equal(tape.h[0, 0], state.h)
+        np.testing.assert_array_equal(tape.ts, [1])
 
     def test_eviction_advances_anchor(self):
-        rng = np.random.default_rng(1)
-        p = random_srnn(2, 2, 0.3, rng)
-        tape = drive(p, 5, rng, capacity=4)
+        p = random_srnn(2, 2, 0.3, np.random.default_rng(1))
+        tape = drive(p, 5, np.random.default_rng(2), capacity=4)
+        full = drive(p, 5, np.random.default_rng(2))
         assert len(tape) == 4
-        assert tape.anchor.t == tape.records[0].t - 1
-        np.testing.assert_array_equal(tape.anchor.h, tape.records[0].h_prev.h)
+        np.testing.assert_array_equal(tape.ts, [2, 3, 4, 5])
+        # the anchor is the state after step 1, where the oldest kept step starts
+        np.testing.assert_array_equal(tape.h, full.h[1:])
+        np.testing.assert_array_equal(tape.x, full.x[1:])
 
-    def test_rejects_non_contiguous(self):
-        rng = np.random.default_rng(2)
-        p = random_srnn(2, 2, 0.3, rng)
-        tape = drive(p, 3, rng, capacity=8)
-        state = zero_state(p, t=10)
-        nxt, _ = step_model(p, state, np.zeros(2))
-        rec = StepRecord(x=np.zeros(2), d=0.0, h_prev=state, h_new=nxt, prediction=0.0)
-        with pytest.raises(ValueError):
-            tape.push(rec)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        batch=st.integers(1, 3),
+        pushes=st.integers(0, 30),
+        lstm=st.booleans(),
+        kept=st.lists(st.integers(0, 2), max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_is_last_pushes(self, capacity, batch, pushes, lstm, kept, seed):
+        # Past 2 * capacity pushes the window shifts to the front of the
+        # arrays: 30 pushes shift a capacity-1 tape 28 times, capacity-6 3 times.
+        rng = np.random.default_rng(seed)
+        n_x, n_h = 2, 3
+        x = rng.normal(size=(pushes, batch, n_x))
+        d = rng.normal(size=(pushes, batch))
+        pred = rng.normal(size=(pushes, batch))
+        h = rng.normal(size=(pushes + 1, batch, n_h))
+        c = rng.normal(size=(pushes + 1, batch, n_h))
+        gates = rng.normal(size=(4, pushes, batch, n_h))
+        tape = ActivationTape(capacity, h[0], n_x, c[0] if lstm else None)
+
+        def check(k, members):
+            # after k pushes: steps k - m + 1 .. k, states from the anchor h[k - m]
+            m = min(k, capacity)
+            assert len(tape) == m and tape.t == k
+            assert np.array_equal(tape.ts, np.arange(k - m + 1, k + 1))
+            steps = [(tape.x, x), (tape.d, d), (tape.pred, pred)]
+            states = [(tape.h, h)]
+            if lstm:
+                steps += list(zip(tape.gates, gates))
+                states.append((tape.c, c))
+            else:
+                assert tape.c is None and tape.gates is None
+            for got, full in steps:
+                assert np.array_equal(got, full[k - m : k][:, members])
+            for got, full in states:
+                assert np.array_equal(got, full[k - m : k + 1][:, members])
+            assert np.array_equal(tape.state, h[k][members])
+
+        everyone = list(range(batch))
+        for k in range(pushes):
+            check(k, everyone)
+            step_gates = None
+            if lstm:
+                i, f, o, g = gates[:, k]
+                step_gates = LstmGates(i=i, f=f, o=o, g=g, c_prev=c[k], c_new=c[k + 1])
+            tape.push(x[k], d[k], pred[k], h[k + 1], step_gates)
+        check(pushes, everyone)
+        members = [b for b in kept if b < batch]
+        tape.keep(members)
+        check(pushes, members)
 
     def test_loss_invariant_under_eviction(self):
-        # Pushing through a full ring keeps smoothed_loss equal to a naive
+        # Pushing through a full tape keeps smoothed_loss equal to a naive
         # recomputation at every point.
         rng = np.random.default_rng(3)
         p = random_srnn(3, 2, 0.4, rng)
-        tape = ActivationTape(4)
         state = zero_state(p)
+        tape = ActivationTape(4, state.h, 2)
         for _ in range(9):
             x = rng.uniform(-1, 1, 2)
             d = rng.uniform(-1, 1)
             new_state, _ = step_model(p, state, x)
             pred = readout(p, new_state, LOSS_SQUARED)
-            tape.push(StepRecord(x=x, d=d, h_prev=state, h_new=new_state, prediction=pred))
+            tape.push(x, d, pred, new_state.h)
             state = new_state
             assert smoothed_loss(tape, p) == pytest.approx(
                 naive_smoothed_loss(tape, p, LOSS_SQUARED), abs=1e-14
@@ -123,27 +170,36 @@ class TestTape:
     def test_empty_tape_rejected(self):
         p = random_srnn(2, 2, 0.3, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            smoothed_loss(ActivationTape(3), p)
+            smoothed_loss(ActivationTape(3, np.zeros(2), 2), p)
+
+    def test_single_run_operations_need_a_one_run_tape(self):
+        rng = np.random.default_rng(4)
+        tape = ActivationTape(3, np.zeros((2, 2)), 2)
+        tape.push(np.zeros((2, 2)), np.zeros(2), np.zeros(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="one-run"):
+            tbptt_gradient(tape, random_srnn(2, 2, 0.3, rng))
+        lstm = random_lstm(2, 2, 0.3, rng)
+        with pytest.raises(ValueError, match="anchor cell"):
+            tbptt_gradient(drive(random_srnn(2, 2, 0.3, rng), 3, rng), lstm)
 
 
 class TestSmoothedLoss:
     def test_zero_residual(self):
         p = SrnnParams(w=np.zeros((2, 2)), u=np.zeros((2, 2)), theta_out=np.zeros(2))
         tape = drive(p, 1, np.random.default_rng(0))
-        rec = tape.records[0]
-        tape2 = ActivationTape(1)
-        tape2.push(StepRecord(x=rec.x, d=0.0, h_prev=rec.h_prev, h_new=rec.h_new, prediction=0.0))
+        tape2 = ActivationTape(1, tape.h[0], 2)
+        tape2.push(tape.x[0], 0.0, 0.0, tape.h[1])
         assert smoothed_loss(tape2, p) == 0.0
 
     def test_two_step_arithmetic(self):
         # residuals 1 and 3 -> (0.5*1 + 0.5*9) / 2 = 2.5
         p = SrnnParams(w=np.zeros((1, 1)), u=np.zeros((1, 1)), theta_out=np.zeros(1))
-        tape = ActivationTape(2)
         s0 = zero_state(p)
+        tape = ActivationTape(2, s0.h, 1)
         s1, _ = step_model(p, s0, np.zeros(1))
         s2, _ = step_model(p, s1, np.zeros(1))
-        tape.push(StepRecord(x=np.zeros(1), d=-1.0, h_prev=s0, h_new=s1, prediction=0.0))
-        tape.push(StepRecord(x=np.zeros(1), d=-3.0, h_prev=s1, h_new=s2, prediction=0.0))
+        tape.push(np.zeros(1), -1.0, 0.0, s1.h)
+        tape.push(np.zeros(1), -3.0, 0.0, s2.h)
         assert smoothed_loss(tape, p) == pytest.approx(2.5, abs=1e-15)
 
     def test_matches_naive_loop(self):
@@ -171,9 +227,7 @@ class TestReplayGradient:
         g = tbptt_gradient(tape, p)
         np.testing.assert_array_equal(g["w"], 0.0)
         np.testing.assert_array_equal(g["u"], 0.0)
-        expected = -np.mean(
-            [r.d * r.h_new.h for r in tape.records], axis=0
-        )
+        expected = -np.mean(tape.d[:, 0, None] * tape.h[1:, 0], axis=0)
         np.testing.assert_allclose(g["theta_out"], expected, atol=1e-15)
 
     def test_single_step_closed_form(self):
@@ -181,11 +235,11 @@ class TestReplayGradient:
         # L = 0.5 (d - theta*tanh(u x))^2 with W unused at the zero anchor.
         w0, u0, th0, x0, d0 = 0.3, 0.7, 1.2, 0.5, 0.4
         p = SrnnParams(w=np.array([[w0]]), u=np.array([[u0]]), theta_out=np.array([th0]))
-        tape = ActivationTape(1)
         s0 = zero_state(p)
+        tape = ActivationTape(1, s0.h, 1)
         s1, _ = step_model(p, s0, np.array([x0]))
         pred = readout(p, s1, LOSS_SQUARED)
-        tape.push(StepRecord(x=np.array([x0]), d=d0, h_prev=s0, h_new=s1, prediction=pred))
+        tape.push(np.array([x0]), d0, pred, s1.h)
         g = tbptt_gradient(tape, p)
         h = math.tanh(u0 * x0)
         resid = th0 * h - d0
@@ -225,7 +279,7 @@ class TestReplayGradient:
         bad = replace_blocks(p, {"theta_out": np.array([np.inf, 0.0, 0.0])})
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
             tbptt_gradient(tape, bad)
-        assert err.value.timestep == tape.newest_t
+        assert err.value.timestep == tape.t == 4
 
 
 class TestCachedGradient:
@@ -341,12 +395,10 @@ class TestLockstepKernel:
             # drift the parameters so cached and replay differ
             members[-1] = replace_blocks(p, {"w": p.w * 0.9, "theta_out": p.theta_out + 0.1})
 
-        recs = [t.records for t in tapes]
-        x = np.array([[r.x for r in rs] for rs in recs]).swapaxes(0, 1)
-        d = np.array([[r.d for r in rs] for rs in recs]).T
-        pred = np.array([[r.prediction for r in rs] for rs in recs]).T
-        h = np.array([[t.anchor.h] + [r.h_new.h for r in t.records] for t in tapes])
-        h = h.swapaxes(0, 1)[..., None]
+        x, d, pred, h = (
+            np.concatenate([getattr(t, name) for t in tapes], axis=1)
+            for name in ("x", "d", "pred", "h")
+        )
         ts = np.arange(extra + 1, extra + m + 1)
         grads, failed = elman_window_gradient(
             x, d, pred, h, ts,

@@ -103,6 +103,27 @@ class TestConfigParsing:
                  "n_h": "4", "optimizer": "wogd", "loss": "squared"}
             )
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"optimizer": "sgd", "window": "0"}, "window must be >= 1"),
+            ({"optimizer": "adam", "tbptt_depth": "-3"}, "tbptt_depth must be >= 0"),
+            ({"features": "0"}, "features >= 1"),
+            ({"init_std": "-1"}, "init_std must be >= 0"),
+        ],
+        ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative"],
+    )
+    def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
+        raw = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
+               "n_h": "3", "optimizer": "wogd", "out_dir": str(tmp_path / "out"), **change}
+        with pytest.raises(ConfigError, match=problem):
+            config_from_mapping(raw)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunSingle:
     def test_deterministic_bitwise(self):
