@@ -9,7 +9,7 @@ update on their own clocks.
 import numpy as np
 
 from wogd import random_cwrnn, random_lstm, random_srnn, zero_state
-from wogd.models import cwrnn_step, lstm_step, srnn_predict, srnn_step
+from wogd.models import readout, step_model
 
 rng = np.random.default_rng(7)
 n_h, n_x = 8, 3
@@ -27,9 +27,9 @@ s1, s2, s3 = zero_state(srnn), zero_state(lstm), zero_state(cw)
 print(" t | elman h[0..2]          | lstm h[0..2]           | clockwork active blocks")
 for t in range(1, 9):
     x = rng.uniform(-1.0, 1.0, n_x)
-    s1 = srnn_step(srnn, s1, x)
-    s2, gates = lstm_step(lstm, s2, x)
-    s3 = cwrnn_step(cw, s3, x, t)
+    s1, _ = step_model(srnn, s1, x)
+    s2, gates = step_model(lstm, s2, x)
+    s3, _ = step_model(cw, s3, x)  # the clockwork steps at t = s3.t + 1
     active = sorted({int(p) for p in cw.unit_periods()[cw.active_units(t)]})
     print(
         f"{t:2d} | {np.array2string(s1.h[:3], precision=3, floatmode='fixed'):22s}"
@@ -40,4 +40,4 @@ for t in range(1, 9):
 print()
 print("every hidden entry stays inside [-1, 1]:",
       max(np.abs(s1.h).max(), np.abs(s2.h).max(), np.abs(s3.h).max()) <= 1.0)
-print("linear readout of the elman state:", round(srnn_predict(srnn, s1), 4))
+print("linear readout of the elman state:", round(readout(srnn, s1, "squared"), 4))

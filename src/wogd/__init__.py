@@ -24,6 +24,7 @@ from .gradients import (
 )
 from .harness import (
     ConfigError,
+    DivergedSeedsError,
     ExperimentConfig,
     GridSearchError,
     RunResult,
@@ -49,14 +50,9 @@ from .models import (
     LstmGates,
     LstmParams,
     SrnnParams,
-    cwrnn_step,
-    lstm_step,
-    predict_sigmoid,
     random_cwrnn,
     random_lstm,
     random_srnn,
-    srnn_predict,
-    srnn_step,
     zero_state,
 )
 from .optim import (

@@ -6,7 +6,9 @@ Subcommands:
   verify [pytest args...]   run the property/acceptance test suites
 
 Exit codes: 0 success; 2 configuration error; 3 data/I-O error; 4 numeric
-failure (divergence, decomposition failure); 1 anything else.
+failure (divergence, decomposition failure); 1 anything else. When some
+seeds of `run` diverge, the seeds that finished are still written, and
+manifest.json lists where each diverged seed stopped.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .gradients import NumericOverflowError
 from .harness import (
     ConfigError,
+    DivergedSeedsError,
     GridSearchError,
     aggregate,
     emit_outputs,
@@ -45,16 +48,27 @@ def _cmd_run(args) -> int:
     if args.seeds:
         cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds))
     out_dir = args.out or cfg.out_dir
-    results = run_many(cfg, workers=args.workers)
+    failure = None
+    try:
+        results = run_many(cfg, workers=args.workers)
+    except DivergedSeedsError as exc:
+        if not exc.results:
+            raise
+        failure, results = exc, exc.results  # keep the seeds that finished
     summary = aggregate(results)
     raw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    files = emit_outputs(summary, out_dir, config_mapping=raw)
+    files = emit_outputs(
+        summary, out_dir, config_mapping=raw, diverged=failure.diverged if failure else None
+    )
     for row in summary.rows:
         print(
             f"{row.label}: runs={row.n_runs} mse_mean={row.mse_mean:.6g} "
             f"mean_runtime={row.runtime_mean_s:.3f}s"
         )
     print(f"wrote {', '.join(files)} to {out_dir}")
+    if failure:
+        print(f"error[numeric]: {failure}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -8,7 +8,9 @@ Gradients come in two flavours:
 * ``replay`` (default): re-run the forward pass from the anchor over the
   window's inputs with the *current* parameters, then backpropagate the mean
   of the window losses, treating the anchor as a constant. This is the exact
-  gradient of the windowed loss under truncation.
+  gradient of the windowed loss under truncation. The replay runs the
+  family's forward kernel from ``models``, whose m = 1 case is the online
+  step; this module holds the tape and the backward passes.
 * ``cached``: backpropagate through the activations stored on the tape
   (computed under the historical parameters) with the current weight
   matrices. The classical, cheaper TBPTT approximation.
@@ -31,10 +33,16 @@ from .models import (
     LstmGates,
     LstmParams,
     SrnnParams,
+    clockwork,
+    elman_forward,
+    lstm_forward,
+    lstm_stacks,
+    member_major,
     param_blocks,
+    predictions,
     replace_blocks,
 )
-from .tasks import CROSS_ENTROPY_CLAMP, LOSS_CROSS_ENTROPY, LOSS_SQUARED
+from .tasks import CROSS_ENTROPY_CLAMP, LOSS_SQUARED
 
 GRADIENT_MODES = ("replay", "cached")
 
@@ -167,20 +175,6 @@ def _check_finite(arr: np.ndarray, tape_end_t: int, what: str) -> None:
         raise NumericOverflowError(tape_end_t, what)
 
 
-def _vsigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable vector sigmoid via the tanh identity; agrees with models.sigmoid
-    # to machine precision and is much cheaper than the two-branch form.
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def _predictions(h: np.ndarray, theta: np.ndarray, loss_kind: str) -> np.ndarray:
-    # Readouts of states h (..., m, n_h) under theta (..., n_h).
-    z = np.matmul(h, theta[..., None])[..., 0]
-    if loss_kind == LOSS_CROSS_ENTROPY:
-        return _vsigmoid(z)
-    return z
-
-
 def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> float:
     # Vectorized twin of tasks.loss_and_residual, averaged over the window.
     if loss_kind == LOSS_SQUARED:
@@ -191,71 +185,8 @@ def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Elman-style kernels (shared by SRNN and CWRNN; CWRNN adds an activity mask)
-#
-# One kernel serves a single tape (B = 1) and B runs trained in lockstep.
-# Window data is time-major -- x (m, B, n_x), d and pred (m, B), states
-# (m + 1, B, n_h, 1) -- so every step of the loops works on one contiguous
-# (B, n_h, 1) block. Parameters are stacked member-first: w (B, n_h, n_h),
-# u (B, n_h, n_x), theta (B, n_h). Every product is a per-member BLAS call on
-# a slice laid out as in the single-tape case, so a member's numbers do not
-# depend on the batch it runs in.
+# Elman backward pass (SRNN and CWRNN), batched like models.elman_forward
 # ---------------------------------------------------------------------------
-
-
-def _member_major(a: np.ndarray) -> np.ndarray:
-    """A time-major (m, B, ...) array as a C-contiguous (B, m, ...) one."""
-    return np.ascontiguousarray(a.swapaxes(0, 1))
-
-
-def _srnn_forward(
-    xb: np.ndarray,
-    h0: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
-    active: np.ndarray | None = None,
-) -> np.ndarray:
-    """Replay h_t = tanh(w h_{t-1} + u x_t) over the member-major inputs
-    xb (B, m, n_x) from the anchor h0 (B, n_h, 1).
-
-    `active` (m, n_h, 1), boolean, is a clockwork schedule: inactive units
-    keep their previous value. Returns the states (m + 1, B, n_h, 1).
-    """
-    # Per-member gemm for the inputs, then one time-major block per step
-    # that the loop overwrites with the pre-activation.
-    pre = _member_major(np.matmul(xb, u.swapaxes(1, 2)))[..., None]
-    h = np.empty((xb.shape[1] + 1,) + h0.shape)
-    h[0] = h0
-    wh = np.empty(h0.shape)
-    idle = [None] * len(pre) if active is None else ~active
-    matmul, add, tanh = np.matmul, np.add, np.tanh  # local names: the loop is call-bound
-    for h_prev, h_next, a, keep in zip(h[:-1], h[1:], pre, idle):
-        matmul(w, h_prev, out=wh)
-        add(wh, a, out=a)
-        tanh(a, out=h_next)
-        if keep is not None:
-            np.copyto(h_next, h_prev, where=keep)
-    return h
-
-
-def _clock(ts: np.ndarray, p: CwrnnParams) -> np.ndarray:
-    # (m, n_h) 0/1: which units update at each of the timesteps ts.
-    return ((ts[:, None] % p.unit_periods()[None, :]) == 0).astype(np.float64)
-
-
-def _cwrnn_forward(
-    xb: np.ndarray,
-    h0: np.ndarray,
-    ts: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
-    p: CwrnnParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clockwork replay over timesteps ts; `p` supplies the clock (periods)
-    shared by every member. Returns (states, activity mask, masked w)."""
-    w_eff = w * p.recurrent_mask()
-    active = _clock(ts, p)
-    return _srnn_forward(xb, h0, w_eff, u, active[:, :, None] != 0.0), active, w_eff
 
 
 def _elman_backward(
@@ -270,8 +201,9 @@ def _elman_backward(
     """Backward pass for h_t = tanh(w h_{t-1} + u x_t) given loss-weighted
     residuals resid_w (B, m). The states come time-major (h) for the loop
     and member-major (hb (B, m + 1, n_h)) for the sums over time, next to
-    the member-major inputs xb. `active` (m, n_h) 0/1 routes copied units
-    through an identity Jacobian (clockwork case). Returns (B, ...) stacks."""
+    the member-major inputs xb. `active` (m, n_h), boolean, routes copied
+    units through an identity Jacobian (clockwork case). Returns (B, ...)
+    stacks."""
     g_out = np.matmul(resid_w[:, None, :], hb[:, 1:])[:, 0]
     # dh_t = theta r_t + carry, accumulated in place, newest step first.
     dh = (resid_w.T[:, :, None] * theta[None, :, :])[..., None]
@@ -279,7 +211,7 @@ def _elman_backward(
     inactive = [None] * len(tanhp)
     if active is not None:
         tanhp = tanhp * active[:, None, :, None]
-        inactive = (1.0 - active)[:, :, None]
+        inactive = ~active[:, :, None]
     deltas = np.empty(tanhp.shape)
     carry = np.zeros(h.shape[1:])
     wt = w.swapaxes(1, 2)
@@ -290,7 +222,7 @@ def _elman_backward(
         matmul(wt, d_i, out=carry)
         if idle is not None:
             carry += dh_i * idle
-    dt = _member_major(deltas[..., 0]).swapaxes(1, 2)
+    dt = member_major(deltas[..., 0]).swapaxes(1, 2)
     g_w = np.matmul(dt, hb[:, :-1])
     g_u = np.matmul(dt, xb)
     return {"w": g_w, "u": g_u, "theta_out": g_out}
@@ -308,7 +240,7 @@ def elman_window_gradient(
     mode: str,
     loss_kind: str,
     weights: np.ndarray,
-    clock: CwrnnParams | None = None,
+    clock: SrnnParams | CwrnnParams | None = None,
 ) -> tuple[dict[str, np.ndarray], list[str | None]]:
     """Loss-weighted window gradients of B Elman runs in lockstep.
 
@@ -317,30 +249,24 @@ def elman_window_gradient(
     plus recorded states h (m + 1, B, n_h), and the timesteps ts. Replay mode
     re-runs the window from h[0] with the stacked parameters (w, u, theta);
     cached mode uses the recorded pred and h.
-    `clock` is any CwrnnParams of the runs' clockwork family, None for the
-    SRNN. Returns the gradient stacks and, per member, the first non-finite
-    quantity in the order the single-tape path checks them (or None).
+    `clock` is any member's parameters (or None for the SRNN); a CwrnnParams
+    brings the clockwork mask and schedule. Returns the gradient stacks and,
+    per member, the first non-finite quantity in the order the single-tape
+    path checks them (or None).
     """
-    active = None
     h = h[..., None]  # the kernels' state layout, (m + 1, B, n_h, 1)
-    xb = _member_major(x)
+    xb = member_major(x)
+    w, active = clockwork(w, clock, ts)
+    states = elman_forward(xb, h[0], w, u, active) if mode == "replay" else h
+    hb = member_major(states[..., 0])
     if mode == "replay":
-        if clock is None:
-            states = _srnn_forward(xb, h[0], w, u)
-        else:
-            states, active, w = _cwrnn_forward(xb, h[0], ts, w, u, clock)
+        preds = predictions(hb[:, 1:], theta, loss_kind)
     else:
-        states = h
-        if clock is not None:
-            active, w = _clock(ts, clock), w * clock.recurrent_mask()
-    hb = _member_major(states[..., 0])
-    if mode == "replay":
-        preds = _predictions(hb[:, 1:], theta, loss_kind)
-    else:
-        preds = _member_major(pred)
-    resid_w = _residuals(preds, _member_major(d)) * weights
+        preds = member_major(pred)
+    # d(loss)/d(readout) is (prediction - target) for both loss kinds.
+    resid_w = (preds - member_major(d)) * weights
     grads = _elman_backward(w, theta, states, hb, xb, resid_w, active)
-    if clock is not None:
+    if active is not None:
         grads["w"] = grads["w"] * clock.recurrent_mask()
 
     checks = [(f"gradient block {name!r}", g) for name, g in grads.items()]
@@ -359,7 +285,7 @@ def _elman_tape_gradient(tape: ActivationTape, p, mode: str, loss_kind: str, wei
     # The B = 1 case of the lockstep kernel, for one tape.
     grads, failed = elman_window_gradient(
         tape.x, tape.d, tape.pred, tape.h, tape.ts, p.w[None], p.u[None], p.theta_out[None],
-        mode, loss_kind, weights, p if isinstance(p, CwrnnParams) else None,
+        mode, loss_kind, weights, p,
     )
     if failed[0] is not None:
         raise NumericOverflowError(tape.t, failed[0])
@@ -367,15 +293,8 @@ def _elman_tape_gradient(tape: ActivationTape, p, mode: str, loss_kind: str, wei
 
 
 # ---------------------------------------------------------------------------
-# LSTM kernels
+# LSTM backward pass
 # ---------------------------------------------------------------------------
-
-
-def _lstm_stacks(p: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w = np.vstack([p.w_i, p.w_f, p.w_o, p.w_g])
-    u = np.vstack([p.u_i, p.u_f, p.u_o, p.u_g])
-    b = np.concatenate([p.b_i, p.b_f, p.b_o, p.b_g])
-    return w, u, b
 
 
 def _lstm_window(tape: ActivationTape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,49 +302,6 @@ def _lstm_window(tape: ActivationTape) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if tape.c is None:
         raise ValueError("LSTM gradients need a tape made with an anchor cell c0")
     return tape.x[:, 0], tape.h[:, 0], tape.c[:, 0]
-
-
-def _lstm_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray, p: LstmParams):
-    m, n_h = x.shape[0], p.n_h
-    wst, ust, bst = _lstm_stacks(p)
-    uxb = x @ ust.T + bst
-    h = np.empty((m + 1, n_h))
-    c = np.empty((m + 1, n_h))
-    h[0] = h0
-    c[0] = c0
-    gi = np.empty((m, n_h))
-    gf = np.empty((m, n_h))
-    go = np.empty((m, n_h))
-    gg = np.empty((m, n_h))
-    tc = np.empty((m, n_h))
-    for i in range(m):
-        a = wst @ h[i] + uxb[i]
-        sig = _vsigmoid(a[: 3 * n_h])
-        gi[i] = sig[:n_h]
-        gf[i] = sig[n_h : 2 * n_h]
-        go[i] = sig[2 * n_h :]
-        gg[i] = np.tanh(a[3 * n_h :])
-        c[i + 1] = gf[i] * c[i] + gi[i] * gg[i]
-        tc[i] = np.tanh(c[i + 1])
-        h[i + 1] = go[i] * tc[i]
-    return h, c, gi, gf, go, gg, tc
-
-
-def _lstm_loss_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray, p: LstmParams) -> np.ndarray:
-    # State-only forward for loss evaluations (finite differences): no gate
-    # records are kept.
-    m, n_h = x.shape[0], p.n_h
-    wst, ust, bst = _lstm_stacks(p)
-    uxb = x @ ust.T + bst
-    h = np.empty((m + 1, n_h))
-    h[0] = h0
-    c = c0
-    for i in range(m):
-        a = wst @ h[i] + uxb[i]
-        sig = _vsigmoid(a[: 3 * n_h])
-        c = sig[n_h : 2 * n_h] * c + sig[:n_h] * np.tanh(a[3 * n_h :])
-        h[i + 1] = sig[2 * n_h :] * np.tanh(c)
-    return h
 
 
 def _lstm_backward(
@@ -441,7 +317,7 @@ def _lstm_backward(
     resid_w: np.ndarray,
 ) -> dict[str, np.ndarray]:
     m, n_h = x.shape[0], p.n_h
-    wst, _, _ = _lstm_stacks(p)
+    wst, _, _ = lstm_stacks(p)
     wst_t = wst.T
     g_out = resid_w @ h[1:]
     rv = np.outer(resid_w, p.theta_out)
@@ -492,18 +368,15 @@ def smoothed_loss(tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED) -
 
 def _smoothed_loss(tape: ActivationTape, params, loss_kind: str) -> float:
     if isinstance(params, (SrnnParams, CwrnnParams)):
-        xb, h0 = _member_major(tape.x), tape.h[0][..., None]
-        if isinstance(params, SrnnParams):
-            h = _srnn_forward(xb, h0, params.w[None], params.u[None])
-        else:
-            h, _, _ = _cwrnn_forward(xb, h0, tape.ts, params.w[None], params.u[None], params)
+        w, active = clockwork(params.w[None], params, tape.ts)
+        h = elman_forward(member_major(tape.x), tape.h[0][..., None], w, params.u[None], active)
         h = h[:, 0, :, 0]
     elif isinstance(params, LstmParams):
         x, h_rec, c_rec = _lstm_window(tape)
-        h = _lstm_loss_forward(x, h_rec[0], c_rec[0], params)
+        h = lstm_forward(x, h_rec[0], c_rec[0], params)[0]
     else:
         raise TypeError(f"unknown parameter type {type(params).__name__}")
-    preds = _predictions(h[1:], params.theta_out, loss_kind)
+    preds = predictions(h[1:], params.theta_out, loss_kind)
     return _mean_loss(preds, tape.d[:, 0], loss_kind)
 
 
@@ -530,11 +403,6 @@ def instant_gradient(
     return _tape_gradient(tape, params, "cached", loss_kind, weights)
 
 
-def _residuals(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # d(loss)/d(readout) is (prediction - target) for both loss kinds.
-    return preds - targets
-
-
 def _tape_gradient(tape: ActivationTape, params, mode: str, loss_kind: str, weights: np.ndarray):
     if isinstance(params, (SrnnParams, CwrnnParams)):
         return _elman_tape_gradient(tape, params, mode, loss_kind, weights)
@@ -551,17 +419,17 @@ def _tape_gradient(tape: ActivationTape, params, mode: str, loss_kind: str, weig
 
 def _lstm_replay_gradient(tape: ActivationTape, params: LstmParams, loss_kind: str, weights):
     x, h_rec, c_rec = _lstm_window(tape)
-    h, c, gi, gf, go, gg, tc = _lstm_forward(x, h_rec[0], c_rec[0], params)
+    h, c, gi, gf, go, gg, tc = lstm_forward(x, h_rec[0], c_rec[0], params)
     _check_finite(h, tape.t, "hidden state")
     _check_finite(c, tape.t, "cell state")
-    preds = _predictions(h[1:], params.theta_out, loss_kind)
-    resid_w = _residuals(preds, tape.d[:, 0]) * weights
+    preds = predictions(h[1:], params.theta_out, loss_kind)
+    resid_w = (preds - tape.d[:, 0]) * weights
     return _lstm_backward(params, h, c[:-1], gi, gf, go, gg, tc, x, resid_w)
 
 
 def _lstm_cached_gradient(tape: ActivationTape, params: LstmParams, weights: np.ndarray):
     x, h_rec, c_rec = _lstm_window(tape)
-    resid_w = _residuals(tape.pred[:, 0], tape.d[:, 0]) * weights
+    resid_w = (tape.pred[:, 0] - tape.d[:, 0]) * weights
     gi, gf, go, gg = (a[:, 0] for a in tape.gates)
     tc = np.tanh(c_rec[1:])
     return _lstm_backward(params, h_rec, c_rec[:-1], gi, gf, go, gg, tc, x, resid_w)

@@ -88,6 +88,21 @@ class GridSearchError(RuntimeError):
         self.rows = rows
 
 
+class DivergedSeedsError(NumericOverflowError):
+    """Some seeds of a run diverged; carries the results of the seeds that
+    finished and the error of each diverged seed, both in seed order. Its
+    message and timestep are those of the first diverged seed."""
+
+    def __init__(self, results: list[RunResult], diverged: dict[int, NumericOverflowError]):
+        first = next(iter(diverged.values()))
+        super().__init__(first.timestep, first.what)
+        self.results = results
+        self.diverged = diverged
+
+    def __reduce__(self):
+        return type(self), (self.results, self.diverged)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str
@@ -527,8 +542,9 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     a member axis, the batched Elman kernel). runtime_s is the batch's wall
     time over the number of seeds. A member leaves the batch when it reaches
     the binary-addition horizon or when its gradient or update turns
-    non-finite; the others finish, and then the NumericOverflowError of the
-    first diverged seed (in seed order) is raised, as the serial loop would.
+    non-finite; the others finish, and then a DivergedSeedsError carries
+    their results; its timestep and message are those of the first diverged
+    seed (in seed order), as the serial loop would raise them.
     """
     seeds = tuple(seeds)
     if not batchable(cfg):
@@ -556,7 +572,6 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
     members = [_build_params(cfg, n_x, r[0]) for r in rngs]
     template = members[0]
-    clock = template if cfg.model == "cwrnn" else None
     w = np.stack([p.w for p in members])
     u = np.stack([p.u for p in members])
     theta = np.stack([p.theta_out for p in members])
@@ -585,19 +600,17 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         else:
             x_t, d_t = xs[t - 1], ds[t - 1]
 
-        h = tape.state[..., None]
-        w_now = w if clock is None else w * clock.recurrent_mask()
-        h_new = np.tanh(np.matmul(w_now, h) + np.matmul(u, x_t[..., None]))
-        if clock is not None:
-            h_new = np.where(clock.active_units(t)[:, None], h_new, h)
-        z = np.matmul(theta[:, None, :], h_new)[:, 0, 0]
-        pred = z if squared else models.sigmoid(z)
-        tape.push(x_t, d_t, pred, h_new[..., 0])
+        # the online step: the m = 1 case of the kernels the replay runs
+        w_now, active = models.clockwork(w, template, [t])
+        h_new = models.elman_forward(x_t[:, None], tape.state[..., None], w_now, u, active)
+        h_new = h_new[1, :, :, 0]
+        pred = models.predictions(h_new[:, None], theta, loss_kind)[:, 0]
+        tape.push(x_t, d_t, pred, h_new)
 
         m = len(tape)
         grads, failed = elman_window_gradient(
             tape.x, tape.d, tape.pred, tape.h, tape.ts, w, u, theta,
-            wcfg.mode, loss_kind, np.full(m, 1.0 / m), clock,
+            wcfg.mode, loss_kind, np.full(m, 1.0 / m), template,
         )
         leaving = []
         for b in range(len(order)):
@@ -648,10 +661,10 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                 xs, ds = xs[:, keep], ds[:, keep]
 
     runtime = (time.perf_counter() - started) / len(seeds)
-    if diverged:
-        raise diverged[min(diverged)]
     results = []
     for k, seed in enumerate(seeds):
+        if k not in finished:
+            continue
         member_losses, sustainable_t, projection_count = finished[k]
         steps_run = member_losses.shape[0]
         curve = np.cumsum(member_losses) / np.arange(1, steps_run + 1)
@@ -667,14 +680,27 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                 projection_count=projection_count,
             )
         )
+    if diverged:
+        raise DivergedSeedsError(results, {seeds[k]: diverged[k] for k in sorted(diverged)})
     return results
 
 
-def _run_seeds(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[RunResult]:
-    # One lockstep batch when the config allows it, else one run per seed.
+def _run_seeds(cfg: ExperimentConfig, seeds: tuple[int, ...]):
+    """The results of the seeds that finished and the error of each seed
+    that diverged, in seed order: one lockstep batch when the config allows
+    it, else one run per seed."""
     if batchable(cfg):
-        return run_batch(cfg, seeds)
-    return [run_single(cfg, s) for s in seeds]
+        try:
+            return run_batch(cfg, seeds), {}
+        except DivergedSeedsError as exc:
+            return exc.results, exc.diverged
+    results, diverged = [], {}
+    for s in seeds:
+        try:
+            results.append(run_single(cfg, s))
+        except NumericOverflowError as exc:
+            diverged[s] = exc
+    return results, diverged
 
 
 def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunResult]:
@@ -685,7 +711,8 @@ def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunRes
     batch per worker process. Every other config runs run_single per seed,
     spread over the worker processes one seed at a time. Either way, every
     field of a result except runtime_s is bitwise the run_single result of
-    its seed.
+    its seed. A diverged seed does not stop the others: when any diverges,
+    a DivergedSeedsError carries the results of those that finished.
     """
     seeds = tuple(seeds) if seeds is not None else cfg.eval_seeds()
     if batchable(cfg):
@@ -699,7 +726,11 @@ def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunRes
             done = list(pool.map(_run_seeds, [cfg] * len(parts), parts))
     else:
         done = [_run_seeds(cfg, part) for part in parts]
-    return [r for part in done for r in part]
+    results = [r for part, _ in done for r in part]
+    diverged = {s: exc for _, part in done for s, exc in part.items()}
+    if diverged:
+        raise DivergedSeedsError(results, diverged)
+    return results
 
 
 def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
@@ -720,10 +751,10 @@ def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
             candidate = replace(cfg, eta=rate)
         else:
             candidate = replace(cfg, learning_rate=rate)
-        try:
-            results = _run_seeds(candidate, seeds)
-        except NumericOverflowError as exc:
-            rows.append((rate, None, f"diverged at t={exc.timestep}"))
+        results, diverged = _run_seeds(candidate, seeds)
+        if diverged:
+            first = next(iter(diverged.values()))
+            rows.append((rate, None, f"diverged at t={first.timestep}"))
             continue
         rows.append((rate, float(np.mean([r.mse for r in results])), ""))
     finite = [(mse, rate) for rate, mse, _ in rows if mse is not None]
@@ -803,11 +834,16 @@ def aggregate(results: list[RunResult]) -> Summary:
     return Summary(rows=rows, curves=curves, regret=regret, smoothness=smooth, seeds=seeds)
 
 
-def emit_outputs(summary: Summary, out_dir, config_mapping: dict | None = None) -> list[str]:
+def emit_outputs(
+    summary: Summary,
+    out_dir,
+    config_mapping: dict | None = None,
+    diverged: dict[int, NumericOverflowError] | None = None,
+) -> list[str]:
     """Write summary.csv, curves.csv, regret.csv, smoothness.csv (the last two
     only when instrumentation exists) plus a manifest.json recording the exact
-    config and seeds. Column order is stable; every numeric cell is emitted
-    with full repr precision."""
+    config, the seeds and, per diverged seed, where it diverged. Column order
+    is stable; every numeric cell is emitted with full repr precision."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -864,6 +900,10 @@ def emit_outputs(summary: Summary, out_dir, config_mapping: dict | None = None) 
         "seeds": {lab: list(s) for lab, s in summary.seeds.items()},
         "files": written,
         "omitted": [f for f in ("regret.csv", "smoothness.csv") if f not in written],
+        "diverged": {
+            str(seed): {"timestep": exc.timestep, "what": exc.what}
+            for seed, exc in (diverged or {}).items()
+        },
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

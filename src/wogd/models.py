@@ -4,8 +4,14 @@ All three families share the same conventions: float64 numpy parameters,
 hidden state in [-1, 1]^n_h, a linear readout theta_out (optionally squashed
 through a sigmoid for binary targets), and an optional bias handled by
 appending a constant 1.0 to the input vector (so n_x counts that dimension).
-Parameters and states are treated as immutable values; every step returns a
-fresh state.
+
+Each family has one forward kernel over a window of m steps:
+``elman_forward`` (SRNN, and the clockwork RNN through ``clockwork``) and
+``lstm_forward``; ``predictions`` is the one readout. The online step
+``step_model`` is the m = 1 case of its family's kernel and ``readout`` the
+m = 1 case of ``predictions``, so the online loop and the replay of a window
+run the same recurrence. Parameters and states are treated as immutable
+values; every step returns a fresh state.
 """
 
 from __future__ import annotations
@@ -15,18 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tasks import LOSS_CROSS_ENTROPY
+
 
 def sigmoid(z):
-    """Numerically stable logistic function, scalar or elementwise."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Logistic function, elementwise, through the identity
+    1 / (1 + e^-z) = (1 + tanh(z / 2)) / 2: no exponential to overflow, and
+    sigmoid(-z) = 1 - sigmoid(z) up to one rounding."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class LstmGates:
     f: np.ndarray
     o: np.ndarray
     g: np.ndarray
-    c_prev: np.ndarray
     c_new: np.ndarray
 
 
@@ -170,9 +171,10 @@ class CwrnnParams:
         up = self.unit_periods()
         return (up[None, :] >= up[:, None]).astype(np.float64)
 
-    def active_units(self, t: int) -> np.ndarray:
-        """Boolean mask of units whose block updates at timestep t."""
-        return (t % self.unit_periods()) == 0
+    def active_units(self, t) -> np.ndarray:
+        """Boolean mask of units whose block updates at timestep t, (n_h,);
+        for an array of timesteps (m,), one row per timestep, (m, n_h)."""
+        return (np.asarray(t)[..., None] % self.unit_periods()) == 0
 
 
 def zero_state(params, t: int = 0) -> HiddenState:
@@ -182,78 +184,142 @@ def zero_state(params, t: int = 0) -> HiddenState:
     return HiddenState(h=h, t=t, c=c)
 
 
-def srnn_step(p: SrnnParams, s: HiddenState, x: np.ndarray) -> HiddenState:
-    """One Elman update: h <- tanh(w h + u x)."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_vec("x", x, p.n_x)
-    _check_vec("h", s.h, p.n_h)
-    h = np.tanh(p.w @ s.h + p.u @ x)
-    return HiddenState(h=h, t=s.t + 1)
+def member_major(a: np.ndarray) -> np.ndarray:
+    """A time-major (m, B, ...) array as a C-contiguous (B, m, ...) one."""
+    return np.ascontiguousarray(a.swapaxes(0, 1))
 
 
-def srnn_predict(p: SrnnParams, s: HiddenState) -> float:
-    """Linear readout theta_out^T h."""
-    _check_vec("h", s.h, p.n_h)
-    return float(p.theta_out @ s.h)
+# ---------------------------------------------------------------------------
+# Elman kernel (SRNN and CWRNN; the clockwork adds a mask and a schedule)
+#
+# One kernel serves one run (B = 1) and B runs trained in lockstep, over one
+# step (the online step) or a window (the replay). States are time-major,
+# (m + 1, B, n_h, 1), so every step of the loop works on one contiguous
+# (B, n_h, 1) block. Parameters are stacked member-first: w (B, n_h, n_h),
+# u (B, n_h, n_x). Every product is a per-member BLAS call on a slice laid
+# out as in the one-run case, so a member's numbers do not depend on the
+# batch it runs in.
+# ---------------------------------------------------------------------------
 
 
-def predict_sigmoid(p, s: HiddenState) -> float:
-    """Sigmoid readout for binary targets; result in (0, 1)."""
-    _check_vec("h", s.h, p.n_h)
-    return float(sigmoid(float(p.theta_out @ s.h)))
+def clockwork(w: np.ndarray, family, ts) -> tuple[np.ndarray, np.ndarray | None]:
+    """The recurrent matrices w (B, n_h, n_h) of runs of the same family as
+    the parameters `family`, as the recurrence applies them at timesteps ts.
+    For a clockwork family: w masked to its slower-to-faster connectivity and
+    the units' activity, (m, n_h) boolean. Otherwise (SRNN or None): w
+    unchanged and no schedule."""
+    if not isinstance(family, CwrnnParams):
+        return w, None
+    return w * family.recurrent_mask(), family.active_units(ts)
 
 
-def lstm_step(p: LstmParams, s: HiddenState, x: np.ndarray) -> tuple[HiddenState, LstmGates]:
-    """One LSTM update; returns the new state plus the gate record."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_vec("x", x, p.n_x)
-    _check_vec("h", s.h, p.n_h)
-    if s.c is None:
-        raise ValueError("LSTM state requires a cell vector c")
-    i = sigmoid(p.w_i @ s.h + p.u_i @ x + p.b_i)
-    f = sigmoid(p.w_f @ s.h + p.u_f @ x + p.b_f)
-    o = sigmoid(p.w_o @ s.h + p.u_o @ x + p.b_o)
-    g = np.tanh(p.w_g @ s.h + p.u_g @ x + p.b_g)
-    c_new = f * s.c + i * g
-    h = o * np.tanh(c_new)
-    gates = LstmGates(i=i, f=f, o=o, g=g, c_prev=s.c, c_new=c_new)
-    return HiddenState(h=h, t=s.t + 1, c=c_new), gates
+def elman_forward(
+    xb: np.ndarray,
+    h0: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    active: np.ndarray | None = None,
+) -> np.ndarray:
+    """Run h_t = tanh(w h_{t-1} + u x_t) over the member-major inputs
+    xb (B, m, n_x) from the anchors h0 (B, n_h, 1).
+
+    `active` (m, n_h), boolean, is a clockwork schedule: inactive units keep
+    their previous value. Returns the states (m + 1, B, n_h, 1), h[0] = h0.
+    """
+    # One product per member for all the inputs of the window, then one
+    # time-major block per step that the loop overwrites with the
+    # pre-activation. numpy computes a window's input products as a
+    # matrix-matrix product and a single step's (m = 1) as a matrix-vector
+    # product; with n_x >= 2 their sums may round apart by an ulp, so a
+    # window matches its steps chained one at a time to rounding, not bitwise.
+    pre = member_major(np.matmul(xb, u.swapaxes(1, 2)))[..., None]
+    h = np.empty((xb.shape[1] + 1,) + h0.shape)
+    h[0] = h0
+    wh = np.empty(h0.shape)
+    idle = [None] * len(pre) if active is None else ~active[..., None]
+    matmul, add, tanh = np.matmul, np.add, np.tanh  # local names: the loop is call-bound
+    for h_prev, h_next, a, keep in zip(h[:-1], h[1:], pre, idle):
+        matmul(w, h_prev, out=wh)
+        add(wh, a, out=a)
+        tanh(a, out=h_next)
+        if keep is not None:
+            np.copyto(h_next, h_prev, where=keep)
+    return h
 
 
-def cwrnn_step(p: CwrnnParams, s: HiddenState, x: np.ndarray, t: int) -> HiddenState:
-    """One clockwork update at timestep t: active blocks recompute, the rest
-    copy their previous values."""
-    if t < 1:
-        raise ValueError(f"timestep must be >= 1, got {t}")
-    if t != s.t + 1:
-        raise ValueError(f"timestep {t} does not follow state at t={s.t}")
-    x = np.asarray(x, dtype=np.float64)
-    _check_vec("x", x, p.n_x)
-    _check_vec("h", s.h, p.n_h)
-    active = p.active_units(t)
-    w_eff = p.w * p.recurrent_mask()
-    fresh = np.tanh(w_eff @ s.h + p.u @ x)
-    h = np.where(active, fresh, s.h)
-    return HiddenState(h=h, t=t)
+def lstm_stacks(p: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recurrent (4 n_h, n_h) and input (4 n_h, n_x) matrices and biases
+    (4 n_h,) of the gates stacked in the order i, f, o, g."""
+    w = np.vstack([p.w_i, p.w_f, p.w_o, p.w_g])
+    u = np.vstack([p.u_i, p.u_f, p.u_o, p.u_g])
+    b = np.concatenate([p.b_i, p.b_f, p.b_o, p.b_g])
+    return w, u, b
+
+
+def lstm_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray, p: LstmParams):
+    """Run the LSTM over the inputs x (m, n_x) from the state h0 and cell c0.
+
+    Returns the states h and cells c (m + 1, n_h), with h[0] = h0 and
+    c[0] = c0, and per step the gates i, f, o, g and tanh(c_t), (m, n_h).
+    """
+    m, n_h = x.shape[0], p.n_h
+    wst, ust, bst = lstm_stacks(p)
+    # One matrix-vector product per step, as for a single step, so a window
+    # runs the same arithmetic as its steps one at a time.
+    uxb = np.matmul(ust, x[..., None])[..., 0] + bst
+    h = np.empty((m + 1, n_h))
+    c = np.empty((m + 1, n_h))
+    h[0] = h0
+    c[0] = c0
+    gi = np.empty((m, n_h))
+    gf = np.empty((m, n_h))
+    go = np.empty((m, n_h))
+    gg = np.empty((m, n_h))
+    tc = np.empty((m, n_h))
+    for i in range(m):
+        a = wst @ h[i] + uxb[i]
+        sig = sigmoid(a[: 3 * n_h])
+        gi[i] = sig[:n_h]
+        gf[i] = sig[n_h : 2 * n_h]
+        go[i] = sig[2 * n_h :]
+        gg[i] = np.tanh(a[3 * n_h :])
+        c[i + 1] = gf[i] * c[i] + gi[i] * gg[i]
+        tc[i] = np.tanh(c[i + 1])
+        h[i + 1] = go[i] * tc[i]
+    return h, c, gi, gf, go, gg, tc
+
+
+def predictions(h: np.ndarray, theta: np.ndarray, loss_kind: str) -> np.ndarray:
+    """Readouts theta^T h_t of the states h (..., m, n_h) under theta
+    (..., n_h), through the sigmoid for the cross-entropy loss."""
+    z = np.matmul(h, theta[..., None])[..., 0]
+    return sigmoid(z) if loss_kind == LOSS_CROSS_ENTROPY else z
 
 
 def step_model(params, s: HiddenState, x: np.ndarray) -> tuple[HiddenState, LstmGates | None]:
-    """Architecture dispatch for the online loop; timestep taken from the state."""
-    if isinstance(params, SrnnParams):
-        return srnn_step(params, s, x), None
+    """One online step from state s on input x at timestep s.t + 1, the
+    m = 1 case of elman_forward or lstm_forward; returns the new state and,
+    for the LSTM, the step's gates."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_vec("x", x, params.n_x)
+    _check_vec("h", s.h, params.n_h)
     if isinstance(params, LstmParams):
-        return lstm_step(params, s, x)
-    if isinstance(params, CwrnnParams):
-        return cwrnn_step(params, s, x, s.t + 1), None
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
+        if s.c is None:
+            raise ValueError("LSTM state requires a cell vector c")
+        h, c, i, f, o, g, _ = lstm_forward(x[None], s.h, s.c, params)
+        gates = LstmGates(i=i[0], f=f[0], o=o[0], g=g[0], c_new=c[1])
+        return HiddenState(h=h[1], t=s.t + 1, c=c[1]), gates
+    if not isinstance(params, (SrnnParams, CwrnnParams)):
+        raise TypeError(f"unknown parameter type {type(params).__name__}")
+    w, active = clockwork(params.w[None], params, [s.t + 1])
+    h = elman_forward(x[None, None], s.h[None, :, None], w, params.u[None], active)
+    return HiddenState(h=h[1, 0, :, 0], t=s.t + 1), None
 
 
 def readout(params, s: HiddenState, loss_kind: str) -> float:
-    from .tasks import LOSS_CROSS_ENTROPY  # local import avoids a cycle
-
-    if loss_kind == LOSS_CROSS_ENTROPY:
-        return predict_sigmoid(params, s)
-    return float(params.theta_out @ s.h)
+    """The prediction from state s under params.theta_out, the m = 1 case of
+    predictions."""
+    return float(predictions(s.h[None], params.theta_out, loss_kind)[0])
 
 
 def param_blocks(params) -> list[tuple[str, np.ndarray]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import NumericOverflowError
+from .gradients import GRADIENT_MODES, NumericOverflowError
 from .linalg import clip_singular_values, project_l2_ball
 from .models import CwrnnParams, SrnnParams, param_blocks, replace_blocks
 
@@ -66,7 +66,7 @@ class WogdConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.out_radius > 0:
             raise ValueError(f"out_radius must be positive, got {self.out_radius}")
-        if self.mode not in ("replay", "cached"):
+        if self.mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient mode {self.mode!r}")
 
 

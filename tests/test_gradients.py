@@ -142,7 +142,7 @@ class TestTape:
             step_gates = None
             if lstm:
                 i, f, o, g = gates[:, k]
-                step_gates = LstmGates(i=i, f=f, o=o, g=g, c_prev=c[k], c_new=c[k + 1])
+                step_gates = LstmGates(i=i, f=f, o=o, g=g, c_new=c[k + 1])
             tape.push(x[k], d[k], pred[k], h[k + 1], step_gates)
         check(pushes, everyone)
         members = [b for b in kept if b < batch]

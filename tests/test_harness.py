@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from wogd.cli import main as cli_main
 from wogd.gradients import NumericOverflowError
 from wogd.harness import (
     ConfigError,
+    DivergedSeedsError,
     ExperimentConfig,
     GridSearchError,
     aggregate,
@@ -452,6 +454,52 @@ class TestCli:
             "error[numeric]: non-finite gradient block 'w' at timestep 25"
         )
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_keeps_finished_seeds(self, workers, tmp_path, capsys):
+        # seed 1 finishes, seed 2 diverges at t = 110
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text(
+            "schema_version = 1\ntask = synthetic\nsteps = 200\nmodel = srnn\nn_h = 10\n"
+            "optimizer = sgd\nlearning_rate = 3.0\nwindow = 10\nseeds = 1,2\n"
+            f"out_dir = {tmp_path}/out\n"
+        )
+        code = cli_main(["run", "--config", str(cfg_path), "--workers", str(workers)])
+        assert code == 4
+        assert capsys.readouterr().err.strip() == (
+            "error[numeric]: non-finite gradient block 'w' at timestep 110"
+        )
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["seeds"] == {"srnn-sgd": [1]}
+        assert manifest["diverged"] == {"2": {"timestep": 110, "what": "gradient block 'w'"}}
+        curves = np.genfromtxt(tmp_path / "out" / "curves.csv", delimiter=",", names=True)
+        finished = run_single(load_config(cfg_path), 1)
+        np.testing.assert_array_equal(curves[curves.dtype.names[1]], finished.curve)
+
+    def test_batched_divergence_keeps_finished_seeds(self, monkeypatch):
+        monkeypatch.setattr(tasks, "synthetic_regression_stream", _exploding_targets({2: 30, 4: 10}))
+        cfg = _synthetic()
+        with pytest.raises(DivergedSeedsError) as caught:
+            run_many(cfg, (1, 2, 3, 4, 5))
+        err = caught.value
+        # the first diverged seed in seed order, not in time
+        assert (err.timestep, str(err)) == (30, "non-finite gradient block 'w' at timestep 30")
+        assert [(s, e.timestep) for s, e in err.diverged.items()] == [(2, 30), (4, 10)]
+        assert_same_runs(err.results, [run_single(cfg, s) for s in (1, 3, 5)])
+        copy = pickle.loads(pickle.dumps(err))
+        assert (copy.timestep, str(copy), list(copy.diverged)) == (30, str(err), [2, 4])
+        assert_same_runs(copy.results, err.results)
+
+    def test_every_seed_diverged_writes_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text(
+            "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 60\n"
+            "model = srnn\nn_h = 4\noptimizer = sgd\nlearning_rate = 1e6\n"
+            f"tbptt_depth = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
+        )
+        assert cli_main(["run", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith("error[numeric]: ")
+        assert not (tmp_path / "out").exists()
 
     def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def failing_svd(*args, **kwargs):

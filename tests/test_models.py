@@ -1,9 +1,12 @@
 """Forward-pass tests: scalar-loop oracles, saturation cases, state bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogd.linalg import spectral_norm
 from wogd.models import (
@@ -11,16 +14,19 @@ from wogd.models import (
     HiddenState,
     LstmParams,
     SrnnParams,
-    cwrnn_step,
-    lstm_step,
-    predict_sigmoid,
+    clockwork,
+    elman_forward,
+    lstm_forward,
+    member_major,
     random_cwrnn,
     random_lstm,
     random_srnn,
-    srnn_predict,
-    srnn_step,
+    readout,
+    sigmoid,
+    step_model,
     zero_state,
 )
+from wogd.tasks import LOSS_CROSS_ENTROPY, LOSS_SQUARED
 
 
 def scalar_srnn_step(w, u, h, x):
@@ -51,13 +57,13 @@ def scalar_sigmoid(z):
 class TestSrnn:
     def test_zero_weights(self):
         p = SrnnParams(w=np.zeros((3, 3)), u=np.zeros((3, 2)), theta_out=np.zeros(3))
-        s = srnn_step(p, zero_state(p), np.array([0.5, -0.5]))
+        s, _ = step_model(p, zero_state(p), np.array([0.5, -0.5]))
         np.testing.assert_array_equal(s.h, np.zeros(3))
         assert s.t == 1
 
     def test_scalar_closed_form(self):
         p = SrnnParams(w=np.array([[0.0]]), u=np.array([[1.0]]), theta_out=np.array([1.0]))
-        s = srnn_step(p, zero_state(p), np.array([1.0]))
+        s, _ = step_model(p, zero_state(p), np.array([1.0]))
         assert s.h[0] == pytest.approx(0.7615941559557649, abs=1e-12)
 
     def test_matches_scalar_loop(self):
@@ -66,21 +72,21 @@ class TestSrnn:
             p = random_srnn(3, 4, 0.5, rng)
             h = rng.uniform(-1, 1, 3)
             x = rng.uniform(-1, 1, 4)
-            s = srnn_step(p, HiddenState(h=h, t=5), x)
+            s, _ = step_model(p, HiddenState(h=h, t=5), x)
             np.testing.assert_allclose(s.h, scalar_srnn_step(p.w, p.u, h, x), atol=1e-14)
             assert s.t == 6
 
     def test_dimension_mismatch(self):
         p = random_srnn(3, 4, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            srnn_step(p, zero_state(p), np.zeros(5))
+            step_model(p, zero_state(p), np.zeros(5))
 
     def test_predict(self):
         p = SrnnParams(w=np.zeros((3, 3)), u=np.zeros((3, 1)), theta_out=np.zeros(3))
         s = HiddenState(h=np.array([0.5, -0.2, 0.9]), t=1)
-        assert srnn_predict(p, s) == 0.0
+        assert readout(p, s, LOSS_SQUARED) == 0.0
         p2 = SrnnParams(w=p.w, u=p.u, theta_out=np.array([1.0, 0.0, 0.0]))
-        assert srnn_predict(p2, s) == pytest.approx(0.5)
+        assert readout(p2, s, LOSS_SQUARED) == pytest.approx(0.5)
 
     def test_predict_matches_scalar_dot(self):
         rng = np.random.default_rng(1)
@@ -88,18 +94,19 @@ class TestSrnn:
             p = random_srnn(6, 2, 0.3, rng)
             h = rng.uniform(-1, 1, 6)
             s = HiddenState(h=h, t=0)
-            assert srnn_predict(p, s) == pytest.approx(scalar_dot(p.theta_out, h), abs=1e-15)
+            out = readout(p, s, LOSS_SQUARED)
+            assert out == pytest.approx(scalar_dot(p.theta_out, h), abs=1e-15)
 
 
 class TestPredictSigmoid:
     def test_zero_readout(self):
         p = random_srnn(4, 2, 0.1, np.random.default_rng(0))
         p = SrnnParams(w=p.w, u=p.u, theta_out=np.zeros(4))
-        assert predict_sigmoid(p, HiddenState(h=np.full(4, 0.3), t=0)) == 0.5
+        assert readout(p, HiddenState(h=np.full(4, 0.3), t=0), LOSS_CROSS_ENTROPY) == 0.5
 
     def test_saturation(self):
         p = SrnnParams(w=np.zeros((1, 1)), u=np.zeros((1, 1)), theta_out=np.array([50.0]))
-        out = predict_sigmoid(p, HiddenState(h=np.array([1.0]), t=0))
+        out = readout(p, HiddenState(h=np.array([1.0]), t=0), LOSS_CROSS_ENTROPY)
         assert out >= 1.0 - 1e-17
 
     def test_matches_scalar(self):
@@ -108,13 +115,14 @@ class TestPredictSigmoid:
             p = random_srnn(5, 2, 0.4, rng)
             h = rng.uniform(-1, 1, 5)
             expected = scalar_sigmoid(scalar_dot(p.theta_out, h))
-            assert predict_sigmoid(p, HiddenState(h=h, t=0)) == pytest.approx(expected, abs=1e-15)
+            out = readout(p, HiddenState(h=h, t=0), LOSS_CROSS_ENTROPY)
+            assert out == pytest.approx(expected, abs=1e-15)
 
 
 class TestLstm:
     def test_all_zero(self):
         p = random_lstm(3, 2, 0.0, np.random.default_rng(0))
-        s, gates = lstm_step(p, zero_state(p), np.array([1.0, -1.0]))
+        s, gates = step_model(p, zero_state(p), np.array([1.0, -1.0]))
         np.testing.assert_allclose(gates.i, 0.5)
         np.testing.assert_allclose(gates.f, 0.5)
         np.testing.assert_allclose(gates.o, 0.5)
@@ -136,7 +144,7 @@ class TestLstm:
             theta_out=p.theta_out,
         )
         c = np.ones(3)
-        s, _ = lstm_step(p, HiddenState(h=np.zeros(3), t=0, c=c), np.zeros(2))
+        s, _ = step_model(p, HiddenState(h=np.zeros(3), t=0, c=c), np.zeros(2))
         np.testing.assert_allclose(s.c, c, atol=1e-15)
 
     def test_matches_scalar_loop(self):
@@ -146,7 +154,7 @@ class TestLstm:
             h = rng.uniform(-0.9, 0.9, 3)
             c = rng.uniform(-1.5, 1.5, 3)
             x = rng.uniform(-1, 1, 2)
-            s, gates = lstm_step(p, HiddenState(h=h, t=2, c=c), x)
+            s, gates = step_model(p, HiddenState(h=h, t=2, c=c), x)
             for idx in range(3):
                 zi = scalar_dot(p.w_i[idx], h) + scalar_dot(p.u_i[idx], x) + p.b_i[idx]
                 zf = scalar_dot(p.w_f[idx], h) + scalar_dot(p.u_f[idx], x) + p.b_f[idx]
@@ -161,7 +169,7 @@ class TestLstm:
     def test_requires_cell(self):
         p = random_lstm(3, 2, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            lstm_step(p, HiddenState(h=np.zeros(3), t=0), np.zeros(2))
+            step_model(p, HiddenState(h=np.zeros(3), t=0), np.zeros(2))
 
 
 class TestCwrnn:
@@ -169,7 +177,7 @@ class TestCwrnn:
         rng = np.random.default_rng(4)
         p = random_cwrnn(4, 2, (1, 2), 0.4, rng)
         h0 = rng.uniform(-0.5, 0.5, 4)
-        s = cwrnn_step(p, HiddenState(h=h0, t=0), rng.uniform(-1, 1, 2), 1)
+        s, _ = step_model(p, HiddenState(h=h0, t=0), rng.uniform(-1, 1, 2))
         # block 1 (period 1) updates; block 2 (period 2) holds at t=1
         assert not np.allclose(s.h[:2], h0[:2])
         np.testing.assert_array_equal(s.h[2:], h0[2:])
@@ -179,7 +187,7 @@ class TestCwrnn:
         p = random_cwrnn(6, 2, (1, 2, 4), 0.4, rng)
         state = HiddenState(h=rng.uniform(-0.5, 0.5, 6), t=3)
         x = rng.uniform(-1, 1, 2)
-        s = cwrnn_step(p, state, x, 4)
+        s, _ = step_model(p, state, x)
         assert np.all(p.active_units(4))
         masked = p.w * p.recurrent_mask()
         np.testing.assert_allclose(s.h, np.tanh(masked @ state.h + p.u @ x), atol=1e-15)
@@ -192,9 +200,9 @@ class TestCwrnn:
             p = random_cwrnn(6, 3, (1, 2, 4), 0.5, rng)
             h = rng.uniform(-0.8, 0.8, 6)
             x = rng.uniform(-1, 1, 3)
-            out = cwrnn_step(p, HiddenState(h=h, t=t - 1), x, t)
+            out, _ = step_model(p, HiddenState(h=h, t=t - 1), x)
             srnn = SrnnParams(w=p.w * p.recurrent_mask(), u=p.u, theta_out=p.theta_out)
-            ref = srnn_step(srnn, HiddenState(h=h, t=t - 1), x).h
+            ref = step_model(srnn, HiddenState(h=h, t=t - 1), x)[0].h
             expected = np.where(p.active_units(t), ref, h)
             np.testing.assert_allclose(out.h, expected, atol=1e-14)
 
@@ -205,8 +213,8 @@ class TestCwrnn:
         srnn = SrnnParams(w=p.w, u=p.u, theta_out=p.theta_out)
         h = rng.uniform(-0.5, 0.5, 4)
         x = rng.uniform(-1, 1, 2)
-        out = cwrnn_step(p, HiddenState(h=h, t=0), x, 1)
-        ref = srnn_step(srnn, HiddenState(h=h, t=0), x)
+        out, _ = step_model(p, HiddenState(h=h, t=0), x)
+        ref, _ = step_model(srnn, HiddenState(h=h, t=0), x)
         np.testing.assert_array_equal(out.h, ref.h)
 
     def test_rejects_bad_blocks(self):
@@ -228,9 +236,9 @@ class TestStateBounds:
         s1, s2, s3 = zero_state(srnn), zero_state(lstm), zero_state(cw)
         for t in range(1, 60):
             x = rng.uniform(-1, 1, 3) * 10.0  # arbitrary finite inputs
-            s1 = srnn_step(srnn, s1, x)
-            s2, _ = lstm_step(lstm, s2, x)
-            s3 = cwrnn_step(cw, s3, x, t)
+            s1, _ = step_model(srnn, s1, x)
+            s2, _ = step_model(lstm, s2, x)
+            s3, _ = step_model(cw, s3, x)
             for s in (s1, s2, s3):
                 assert np.all(np.abs(s.h) <= 1.0)
 
@@ -260,6 +268,85 @@ class TestStatePerturbationBound:
                 sa, sb = zero_state(pa), zero_state(pb)
                 for _ in range(length):
                     x = rng.uniform(-1, 1, n_x)
-                    sa = srnn_step(pa, sa, x)
-                    sb = srnn_step(pb, sb, x)
+                    sa, _ = step_model(pa, sa, x)
+                    sb, _ = step_model(pb, sb, x)
                     assert np.linalg.norm(sa.h - sb.h) <= bound
+
+
+class TestOnlineStepIsWindowCase:
+    """step_model is the m = 1 case of its family's window kernel: chaining
+    it m times replays the window the gradients replay."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        arch=st.sampled_from(["srnn", "cwrnn"]),
+        batch=st.integers(1, 3),
+        m=st.integers(1, 20),
+        n_h=st.integers(1, 6),
+        n_x=st.integers(1, 4),
+        t0=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_elman_window_equals_chained_steps(self, arch, batch, m, n_h, n_x, t0, seed):
+        rng = np.random.default_rng(seed)
+        periods = (1, 2) if n_h % 2 == 0 else (2,)
+        members = [
+            random_srnn(n_h, n_x, 0.4, rng) if arch == "srnn"
+            else random_cwrnn(n_h, n_x, periods, 0.4, rng)
+            for _ in range(batch)
+        ]
+        x = rng.uniform(-1.0, 1.0, (m, batch, n_x))
+        h0 = rng.uniform(-1.0, 1.0, (batch, n_h))
+        ts = np.arange(t0 + 1, t0 + m + 1)
+        w, active = clockwork(np.stack([p.w for p in members]), members[0], ts)
+        u = np.stack([p.u for p in members])
+        h = elman_forward(member_major(x), h0[..., None], w, u, active)
+        for b, p in enumerate(members):
+            state = HiddenState(h=h0[b], t=t0)
+            for i in range(m):
+                state, _ = step_model(p, state, x[i, b])
+                assert state.t == t0 + i + 1
+                window = h[i + 1, b, :, 0]
+                if m == 1 or n_x == 1:
+                    assert np.array_equal(state.h, window)
+                else:
+                    # numpy computes the window's input products u x_t as one
+                    # matrix-matrix product and a step's as a matrix-vector
+                    # product; with n_x >= 2 their sums may round differently.
+                    eps = np.finfo(np.float64).eps
+                    np.testing.assert_allclose(state.h, window, rtol=0, atol=64 * m * eps)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 20),
+        n_h=st.integers(1, 6),
+        n_x=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lstm_window_equals_chained_steps(self, m, n_h, n_x, seed):
+        rng = np.random.default_rng(seed)
+        p = random_lstm(n_h, n_x, 0.4, rng)
+        x = rng.uniform(-1.0, 1.0, (m, n_x))
+        h0, c0 = rng.uniform(-1.0, 1.0, n_h), rng.normal(size=n_h)
+        h, c, gi, gf, go, gg, _ = lstm_forward(x, h0, c0, p)
+        state = HiddenState(h=h0, t=0, c=c0)
+        for i in range(m):
+            state, gates = step_model(p, state, x[i])
+            pairs = [
+                (state.h, h[i + 1]), (state.c, c[i + 1]), (gates.c_new, c[i + 1]),
+                (gates.i, gi[i]), (gates.f, gf[i]), (gates.o, go[i]), (gates.g, gg[i]),
+            ]
+            for got, window in pairs:
+                assert np.array_equal(got, window)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+    def test_sigmoid_bounds_and_symmetry(self, z):
+        z = np.array(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                up, down = sigmoid(z), sigmoid(-z)
+        assert np.all((up >= 0.0) & (up <= 1.0))
+        assert np.all(np.abs(up + down - 1.0) <= 2.0**-52)
+        assert sigmoid(0.0) == 0.5
