@@ -13,10 +13,10 @@ from wogd.harness import ExperimentConfig, run_single
 
 print("== the stream itself ==")
 state = binary_add_state(n=2, seed=5)
-samples = binary_add_stream(state, 8)
+xs, ds = binary_add_stream(state, 8)
 print("bits (scaled to +-1, bias last) -> sum bit")
-for s in samples:
-    print(f"  x={s.x[:-1]}  d={int(s.d)}")
+for x, d in zip(xs, ds):
+    print(f"  x={x[:-1]}  d={int(d)}")
 
 print()
 print("== training on it ==")

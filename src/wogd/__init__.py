@@ -69,7 +69,6 @@ from .tasks import (
     LOSS_CROSS_ENTROPY,
     LOSS_SQUARED,
     ScalingSpec,
-    StreamSample,
     binary_add_state,
     binary_add_stream,
     fit_scaling,

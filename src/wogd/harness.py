@@ -1,5 +1,10 @@
-"""Experiment harness: config parsing, the online training loop, grid search,
+"""Experiment harness: config parsing, the online training loops, grid search,
 multi-seed aggregation, and CSV emission.
+
+There are two loops. run_batch trains the seeds of any wogd config in
+lockstep, regret, smoothness and gradient-bound instrumentation included;
+run_single runs one seed of the first-order baselines, and a wogd seed as the
+one-seed batch.
 
 Config files are flat ``key = value`` text ('#' starts a comment), versioned
 with a ``schema_version`` key. Recognized keys:
@@ -35,9 +40,11 @@ with a ``schema_version`` key. Recognized keys:
   record_smoothness  true/false: track finite-difference curvature (implies
                    record_regret and replay gradients)
   regret_every     instrument every k-th step (default 1: every step; each
-                   sample costs two spectral projections)
-  check_gradient_bounds  true/false: assert the closed-form gradient-norm
-                   ceiling each step while the constraint preconditions hold
+                   sample costs two spectral projections); k > 1 needs
+                   record_regret or record_smoothness
+  check_gradient_bounds  true/false, wogd only: assert the closed-form
+                   gradient-norm ceiling each step while the constraint
+                   preconditions hold
   out_dir          output directory for emit_outputs
 
 Per-seed randomness: each seed spawns two independent PCG64 generators via
@@ -64,7 +71,6 @@ from .gradients import (
     NumericOverflowError,
     elman_window_gradient,
     instant_gradient,
-    tbptt_gradient,
 )
 from .linalg import spectral_norm
 from .models import replace_blocks
@@ -297,6 +303,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append("record_regret requires the wogd optimizer")
     if cfg.regret_every < 1:
         p.append("regret_every must be >= 1")
+    elif cfg.regret_every > 1 and not (cfg.record_regret or cfg.record_smoothness):
+        p.append("regret_every > 1 requires record_regret or record_smoothness")
+    if cfg.check_gradient_bounds and cfg.optimizer != "wogd":
+        p.append("check_gradient_bounds requires the wogd optimizer")
     if cfg.check_gradient_bounds and (cfg.model != "srnn" or cfg.loss_kind != tasks.LOSS_SQUARED):
         p.append("check_gradient_bounds supports srnn with squared loss")
     if cfg.seeds and len(set(cfg.seeds)) != len(cfg.seeds):
@@ -337,6 +347,18 @@ class RunResult:
     ledger: analysis.RegretLedger | None = None
 
 
+def _result(
+    cfg: ExperimentConfig, seed: int, runtime_s: float, losses: np.ndarray,
+    sustainable_t: int | None, projection_count: int = 0, ledger=None,
+) -> RunResult:
+    curve = np.cumsum(losses) / np.arange(1, losses.shape[0] + 1)
+    return RunResult(
+        label=cfg.label, seed=seed, steps=losses.shape[0], mse=float(curve[-1]),
+        runtime_s=runtime_s, curve=curve, sustainable_t=sustainable_t,
+        projection_count=projection_count, ledger=ledger,
+    )
+
+
 def _build_params(cfg: ExperimentConfig, n_x: int, rng: np.random.Generator):
     if cfg.model == "srnn":
         return models.random_srnn(cfg.n_h, n_x, cfg.init_std, rng)
@@ -345,13 +367,58 @@ def _build_params(cfg: ExperimentConfig, n_x: int, rng: np.random.Generator):
     return models.random_cwrnn(cfg.n_h, n_x, cfg.periods, cfg.init_std, rng)
 
 
-def _csv_samples(cfg: ExperimentConfig) -> list[tasks.StreamSample]:
+def _csv_stream(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     records = tasks.load_csv_stream(cfg.dataset, cfg.target_column)
-    spec = tasks.fit_scaling(records, cfg.n_h, cfg.target_column)
-    samples = tasks.scaled_stream(records, spec)
-    if cfg.steps > 0:
-        samples = samples[: cfg.steps]
-    return samples
+    x, d = tasks.scaled_stream(records, tasks.fit_scaling(records, cfg.n_h, cfg.target_column))
+    n = cfg.steps if cfg.steps > 0 else None
+    return x[:n], d[:n]
+
+
+class _Streams:
+    """The inputs x_t (B, n_x) and targets d_t (B,) of B runs, step by step.
+
+    csv and synthetic streams are built whole; a csv file is loaded and
+    scaled once and shared by every run through a member axis of length 1.
+    Binary addition continues each run's bit stream 512 steps at a time as
+    the loop reaches them.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, data_rngs):
+        self.bits = None
+        if cfg.task == "binary_add":
+            self.bits = [tasks.BinaryAddState(n=cfg.n_sequences, rng=r) for r in data_rngs]
+            self.total, self.n_x = cfg.cutoff, cfg.n_sequences + 1
+            self.start = self.end = 1
+        else:
+            if cfg.task == "csv":
+                parts = [_csv_stream(cfg)]
+            else:
+                parts = [
+                    tasks.synthetic_regression_stream(cfg.features, cfg.steps, r, cfg.n_h)
+                    for r in data_rngs
+                ]
+            self._stack(parts, 1)
+            self.total, self.n_x = self.end - 1, self.x.shape[2]
+        if self.total < 1:
+            raise ConfigError("stream is empty")
+
+    def _stack(self, parts, t: int) -> None:
+        self.x = np.stack([x for x, _ in parts], axis=1)
+        self.d = np.stack([d for _, d in parts], axis=1)
+        self.start, self.end = t, t + self.d.shape[0]
+
+    def at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        if t == self.end:
+            chunk = min(512, self.total - t + 1)
+            self._stack([tasks.binary_add_stream(s, chunk) for s in self.bits], t)
+        return self.x[t - self.start], self.d[t - self.start]
+
+    def keep(self, members) -> None:
+        """Drop every run not listed, by batch position."""
+        if self.bits:
+            self.bits = [self.bits[b] for b in members]
+        if self.x.shape[1] > 1:
+            self.x, self.d = self.x[:, members], self.d[:, members]
 
 
 def _gradient_bound_check(params, grads, cfg: ExperimentConfig, t: int) -> None:
@@ -377,96 +444,50 @@ _quiet_divergence = np.errstate(over="ignore", invalid="ignore")
 
 @_quiet_divergence
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
-    """Execute the full online loop (predict, observe, update) for one seed."""
+    """The online loop (predict, observe, update) of one seed.
+
+    A wogd config runs as the one-seed batch of run_batch, and a diverging
+    run raises its own NumericOverflowError. The first-order baselines
+    (sgd, rmsprop, adam) run here.
+    """
+    if cfg.optimizer == "wogd":
+        try:
+            return run_batch(cfg, [seed])[0]
+        except DivergedSeedsError as exc:
+            raise exc.diverged[seed] from None
     loss_kind = cfg.loss_kind
     rng_init, rng_data = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
     )
+    stream = _Streams(cfg, [rng_data])
+    params = _build_params(cfg, stream.n_x, rng_init)
+    state = models.zero_state(params)
+    tape = ActivationTape(cfg.tape_depth, state.h, stream.n_x, state.c)
+    bcfg = BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
 
     binary = cfg.task == "binary_add"
-    if cfg.task == "csv":
-        stream = _csv_samples(cfg)
-        total = len(stream)
-    elif cfg.task == "synthetic":
-        stream = tasks.synthetic_regression_stream(cfg.features, cfg.steps, rng_data, cfg.n_h)
-        total = len(stream)
-    else:
-        bin_state = tasks.BinaryAddState(n=cfg.n_sequences, rng=rng_data)
-        stream = []
-        total = cfg.cutoff
-    if total < 1:
-        raise ConfigError("stream is empty")
-
-    n_x = (cfg.n_sequences + 1) if binary else stream[0].x.shape[0]
-    params = _build_params(cfg, n_x, rng_init)
-    state = models.zero_state(params)
-    tape = ActivationTape(cfg.tape_depth, state.h, n_x, state.c)
-
-    wcfg = bcfg = None
-    if cfg.optimizer == "wogd":
-        wcfg = WogdConfig(
-            eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
-            out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
-            mode=cfg.gradient_mode,
-        )
-    else:
-        bcfg = BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
-
-    record_regret = cfg.record_regret or cfg.record_smoothness
-    ledger = None
-    if record_regret:
-        ledger = analysis.RegretLedger(
-            eta=cfg.eta, w=cfg.window, lam=cfg.lam, n_h=cfg.n_h, n_x=n_x
-        )
-
-    losses = np.empty(total)
-    projection_count = 0
+    losses = np.empty(stream.total)
     sustainable_t = None
     consec = 0
     started = time.perf_counter()
 
-    for t in range(1, total + 1):
-        if binary:
-            if not stream:
-                stream = tasks.binary_add_stream(bin_state, min(512, total - t + 1), start_t=t)
-            sample = stream.pop(0)
-        else:
-            sample = stream[t - 1]
-
-        new_state, gates = models.step_model(params, state, sample.x)
+    for t in range(1, stream.total + 1):
+        x_t, d_t = stream.at(t)
+        x, d = x_t[0], float(d_t[0])
+        new_state, gates = models.step_model(params, state, x)
         pred = models.readout(params, new_state, loss_kind)
-        loss_val, _ = tasks.loss_and_residual(pred, sample.d, loss_kind)
-        tape.push(sample.x, sample.d, pred, new_state.h, gates)
-
-        if cfg.optimizer == "wogd":
-            grads = tbptt_gradient(tape, params, wcfg.mode, loss_kind)
-            if cfg.check_gradient_bounds:
-                _gradient_bound_check(params, grads, cfg, t)
-            sampled = record_regret and (t - 1) % cfg.regret_every == 0
-            if sampled:
-                ledger.record_regret(projected_gradient(params, grads, wcfg))
-            new_params, triggered = wogd_step(wcfg, params, grads, t)
-            projection_count += triggered
-            if cfg.record_smoothness and sampled:
-                probe = replace_blocks(new_params, {"theta_out": params.theta_out})
-                grads_after = tbptt_gradient(tape, probe, "replay", loss_kind)
-                ledger.record_smoothness(
-                    analysis.estimate_smoothness(grads, grads_after, params, probe)
-                )
-            params = new_params
-        else:
-            grads = instant_gradient(tape, params, loss_kind)
-            params = baseline_step(bcfg, params, grads, t)
+        loss_val, _ = tasks.loss_and_residual(pred, d, loss_kind)
+        tape.push(x, d, pred, new_state.h, gates)
+        params = baseline_step(bcfg, params, instant_gradient(tape, params, loss_kind), t)
 
         if loss_kind == tasks.LOSS_SQUARED:
-            r = pred - sample.d
+            r = pred - d
             losses[t - 1] = r * r
         else:
             losses[t - 1] = loss_val
 
         if binary:
-            correct = (pred > 0.5) == (sample.d > 0.5)
-            consec = consec + 1 if correct else 0
+            consec = consec + 1 if (pred > 0.5) == (d > 0.5) else 0
             if consec >= cfg.horizon:
                 sustainable_t = t - cfg.horizon + 1
                 losses = losses[:t]
@@ -474,83 +495,36 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
 
         state = new_state
 
-    steps_run = losses.shape[0]
-    curve = np.cumsum(losses) / np.arange(1, steps_run + 1)
-    runtime = time.perf_counter() - started
-    return RunResult(
-        label=cfg.label,
-        seed=seed,
-        steps=steps_run,
-        mse=float(curve[-1]),
-        runtime_s=runtime,
-        curve=curve,
-        sustainable_t=sustainable_t,
-        projection_count=projection_count,
-        ledger=ledger,
-    )
-
-
-def batchable(cfg: ExperimentConfig) -> bool:
-    """Whether run_many and grid_search train this config's seeds in
-    lockstep with run_batch: srnn/cwrnn with the wogd optimizer and none of
-    the per-run instrumentation (regret, smoothness, gradient-bound checks)."""
-    return (
-        cfg.model in ("srnn", "cwrnn")
-        and cfg.optimizer == "wogd"
-        and not (cfg.record_regret or cfg.record_smoothness or cfg.check_gradient_bounds)
-    )
-
-
-def _time_major(member_streams) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-member sample lists into x (T, B, n_x) and d (T, B); each
-    list is dropped as soon as it is stacked."""
-    xs, ds = [], []
-    for samples in member_streams:
-        if not samples:
-            raise ConfigError("stream is empty")
-        xs.append(np.stack([s.x for s in samples]))
-        ds.append(np.array([s.d for s in samples]))
-    return np.stack(xs, axis=1), np.stack(ds, axis=1)
-
-
-def _batch_stream(cfg: ExperimentConfig, rngs_data) -> tuple[np.ndarray, np.ndarray]:
-    # The csv file is loaded and scaled once and shared by every member
-    # through a member axis of length 1.
-    if cfg.task == "csv":
-        return _time_major([_csv_samples(cfg)])
-    return _time_major(
-        tasks.synthetic_regression_stream(cfg.features, cfg.steps, rng, cfg.n_h)
-        for rng in rngs_data
-    )
-
-
-def _binary_chunk(states, t: int, total: int) -> tuple[np.ndarray, np.ndarray]:
-    # Each member continues its own bit stream by the chunk run_single draws.
-    return _time_major(
-        tasks.binary_add_stream(st, min(512, total - t + 1), start_t=t) for st in states
-    )
+    return _result(cfg, seed, time.perf_counter() - started, losses, sustainable_t)
 
 
 @_quiet_divergence
 def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
-    """Train the seeds of one srnn/cwrnn-wogd config in lockstep.
+    """Train the seeds of one srnn/cwrnn-wogd config in lockstep; one seed is
+    the B = 1 batch.
 
-    Every field of every result except runtime_s is bit for bit what
-    run_single(cfg, seed) returns, whichever seeds share the batch: each
-    member keeps its own generators, stream, parameters and window, and only
-    the numpy calls are shared (stacked parameters, one ActivationTape with
-    a member axis, the batched Elman kernel). runtime_s is the batch's wall
-    time over the number of seeds. A member leaves the batch when it reaches
-    the binary-addition horizon or when its gradient or update turns
-    non-finite; the others finish, and then a DivergedSeedsError carries
-    their results; its timestep and message are those of the first diverged
-    seed (in seed order), as the serial loop would raise them.
+    Each member keeps its own generators, stream, parameters, window and
+    regret ledger; only the numpy calls are shared (stacked parameters, one
+    ActivationTape with a member axis, the batched Elman kernel). So every
+    field of a result except runtime_s is bit for bit the same whichever
+    seeds share the batch. runtime_s is the batch's wall time over the number
+    of seeds.
+
+    Instrumentation runs per member on every regret_every-th step: the
+    closed-form gradient ceiling (an AssertionError when violated), the
+    projected-gradient regret entry before the update and, after it, the
+    smoothness probe, which replays the window at the new hidden weights and
+    the old output weights for all members in one call.
+
+    A member leaves the batch when it reaches the binary-addition horizon or
+    when its gradient, update or smoothness probe turns non-finite; the
+    others finish, and then a DivergedSeedsError carries their results; its
+    timestep and message are those of the first diverged seed (in seed
+    order).
     """
     seeds = tuple(seeds)
-    if not batchable(cfg):
-        raise ConfigError(
-            f"run_batch trains srnn/cwrnn-wogd configs without instrumentation, got {cfg.label}"
-        )
+    if cfg.optimizer != "wogd" or cfg.model == "lstm":
+        raise ConfigError(f"run_batch trains srnn/cwrnn-wogd configs, got {cfg.label}")
     if not seeds:
         return []
     loss_kind = cfg.loss_kind
@@ -558,17 +532,9 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     rngs = [
         [np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(2)] for s in seeds
     ]
-
+    stream = _Streams(cfg, [r[1] for r in rngs])
+    total, n_x = stream.total, stream.n_x
     binary = cfg.task == "binary_add"
-    if binary:
-        bin_states = [tasks.BinaryAddState(n=cfg.n_sequences, rng=r[1]) for r in rngs]
-        total, n_x = cfg.cutoff, cfg.n_sequences + 1
-        chunk_t = chunk_end = 1
-        if total < 1:
-            raise ConfigError("stream is empty")
-    else:
-        xs, ds = _batch_stream(cfg, [r[1] for r in rngs])
-        total, n_x = xs.shape[0], xs.shape[2]
 
     members = [_build_params(cfg, n_x, r[0]) for r in rngs]
     template = members[0]
@@ -581,6 +547,12 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
         mode=cfg.gradient_mode,
     )
+    instrumented = cfg.record_regret or cfg.record_smoothness
+    ledgers = [  # by seed position
+        analysis.RegretLedger(eta=cfg.eta, w=cfg.window, lam=cfg.lam, n_h=cfg.n_h, n_x=n_x)
+        if instrumented else None
+        for _ in seeds
+    ]
 
     order = np.arange(len(seeds))  # seed position of each batch member
     losses = np.empty((total, len(seeds)))
@@ -592,13 +564,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     started = time.perf_counter()
 
     for t in range(1, total + 1):
-        if binary:
-            if t == chunk_end:
-                xs, ds = _binary_chunk(bin_states, t, total)
-                chunk_t, chunk_end = t, t + xs.shape[0]
-            x_t, d_t = xs[t - chunk_t], ds[t - chunk_t]
-        else:
-            x_t, d_t = xs[t - 1], ds[t - 1]
+        x_t, d_t = stream.at(t)
 
         # the online step: the m = 1 case of the kernels the replay runs
         w_now, active = models.clockwork(w, template, [t])
@@ -608,23 +574,52 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         tape.push(x_t, d_t, pred, h_new)
 
         m = len(tape)
+        weights = np.full(m, 1.0 / m)
+        window = (tape.x, tape.d, tape.pred, tape.h, tape.ts)
         grads, failed = elman_window_gradient(
-            tape.x, tape.d, tape.pred, tape.h, tape.ts, w, u, theta,
-            wcfg.mode, loss_kind, np.full(m, 1.0 / m), template,
+            *window, w, u, theta, wcfg.mode, loss_kind, weights, template
         )
+        sampled = instrumented and (t - 1) % cfg.regret_every == 0
+        probing = sampled and cfg.record_smoothness
+        if probing:
+            before = w.copy(), u.copy(), theta.copy()
         leaving = []
         for b in range(len(order)):
             try:
                 if failed[b] is not None:
                     raise NumericOverflowError(t, failed[b])
                 member = replace_blocks(template, {"w": w[b], "u": u[b], "theta_out": theta[b]})
-                new, triggered = wogd_step(wcfg, member, {k: g[b] for k, g in grads.items()}, t)
+                grads_b = {k: g[b] for k, g in grads.items()}
+                if cfg.check_gradient_bounds:
+                    _gradient_bound_check(member, grads_b, cfg, t)
+                if sampled:
+                    ledgers[order[b]].record_regret(projected_gradient(member, grads_b, wcfg))
+                new, triggered = wogd_step(wcfg, member, grads_b, t)
             except NumericOverflowError as exc:
                 diverged[int(order[b])] = exc
                 leaving.append(b)
                 continue
             w[b], u[b], theta[b] = new.w, new.u, new.theta_out
             projections[b] += triggered
+
+        if probing:
+            # the same windowed loss at (new w, new u, old theta_out)
+            after, failed = elman_window_gradient(
+                *window, w, u, before[2], "replay", loss_kind, weights, template
+            )
+            for b in range(len(order)):
+                if b in leaving:
+                    continue
+                if failed[b] is not None:
+                    diverged[int(order[b])] = NumericOverflowError(t, failed[b])
+                    leaving.append(b)
+                    continue
+                ledgers[order[b]].record_smoothness(analysis.estimate_smoothness(
+                    {k: g[b] for k, g in grads.items()},
+                    {k: g[b] for k, g in after.items()},
+                    replace_blocks(template, {"w": before[0][b], "u": before[1][b]}),
+                    replace_blocks(template, {"w": w[b], "u": u[b]}),
+                ))
 
         if squared:
             r = pred - d_t
@@ -655,31 +650,14 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             order, projections, consec = order[keep], projections[keep], consec[keep]
             w, u, theta, losses = w[keep], u[keep], theta[keep], losses[:, keep]
             tape.keep(keep)
-            if binary:
-                bin_states = [bin_states[b] for b in keep]
-            if xs.shape[1] > 1:
-                xs, ds = xs[:, keep], ds[:, keep]
+            stream.keep(keep)
 
     runtime = (time.perf_counter() - started) / len(seeds)
-    results = []
-    for k, seed in enumerate(seeds):
-        if k not in finished:
-            continue
-        member_losses, sustainable_t, projection_count = finished[k]
-        steps_run = member_losses.shape[0]
-        curve = np.cumsum(member_losses) / np.arange(1, steps_run + 1)
-        results.append(
-            RunResult(
-                label=cfg.label,
-                seed=seed,
-                steps=steps_run,
-                mse=float(curve[-1]),
-                runtime_s=runtime,
-                curve=curve,
-                sustainable_t=sustainable_t,
-                projection_count=projection_count,
-            )
-        )
+    results = [
+        _result(cfg, seed, runtime, *finished[k], ledgers[k])
+        for k, seed in enumerate(seeds)
+        if k in finished
+    ]
     if diverged:
         raise DivergedSeedsError(results, {seeds[k]: diverged[k] for k in sorted(diverged)})
     return results
@@ -687,9 +665,9 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
 def _run_seeds(cfg: ExperimentConfig, seeds: tuple[int, ...]):
     """The results of the seeds that finished and the error of each seed
-    that diverged, in seed order: one lockstep batch when the config allows
-    it, else one run per seed."""
-    if batchable(cfg):
+    that diverged, in seed order: one lockstep batch for a wogd config, else
+    one run per seed."""
+    if cfg.optimizer == "wogd":
         try:
             return run_batch(cfg, seeds), {}
         except DivergedSeedsError as exc:
@@ -706,16 +684,17 @@ def _run_seeds(cfg: ExperimentConfig, seeds: tuple[int, ...]):
 def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunResult]:
     """Independent (config, seed) runs; the result order follows the seed list.
 
-    A `batchable` config trains its seeds in lockstep with run_batch; with
-    workers > 1, the seed list is split into that many contiguous chunks, one
-    batch per worker process. Every other config runs run_single per seed,
-    spread over the worker processes one seed at a time. Either way, every
-    field of a result except runtime_s is bitwise the run_single result of
-    its seed. A diverged seed does not stop the others: when any diverges,
-    a DivergedSeedsError carries the results of those that finished.
+    A wogd config, instrumented or not, trains its seeds in lockstep with
+    run_batch; with workers > 1, the seed list is split into that many
+    contiguous chunks, one batch per worker process. The baselines (and so
+    every LSTM) run run_single per seed, spread over the worker processes one
+    seed at a time. Either way, every field of a result except runtime_s is
+    bitwise the run_single result of its seed. A diverged seed does not stop
+    the others: when any diverges, a DivergedSeedsError carries the results
+    of those that finished.
     """
     seeds = tuple(seeds) if seeds is not None else cfg.eval_seeds()
-    if batchable(cfg):
+    if cfg.optimizer == "wogd":
         k = max(1, min(workers, len(seeds)))
         parts = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
     else:
@@ -738,8 +717,8 @@ def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
     flagged. Ties break toward the smaller rate. Returns (best, rows) where
     rows are (rate, mean_mse or None, note).
 
-    The tuning seeds of one rate run as one run_batch when the config is
-    `batchable`, else one run_single per seed; the means are the same.
+    The tuning seeds of one rate run as one run_batch for a wogd config,
+    else one run_single per seed; the means are the same.
     """
     grid = tuple(grid)
     if not grid:

@@ -31,15 +31,6 @@ class CsvFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class StreamSample:
-    """One step of an input stream: scaled features plus bias, target, index."""
-
-    x: np.ndarray
-    d: float
-    t: int
-
-
 def loss_and_residual(prediction: float, target: float, kind: str) -> tuple[float, float]:
     """Per-step loss and its derivative w.r.t. the readout.
 
@@ -163,22 +154,19 @@ def fit_scaling(records: np.ndarray, n_h: int, target_column: int = -1) -> Scali
     )
 
 
-def scaled_stream(records: np.ndarray, spec: ScalingSpec) -> list[StreamSample]:
-    """Apply a ScalingSpec and append the bias dimension; order preserved."""
+def scaled_stream(records: np.ndarray, spec: ScalingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a ScalingSpec and append the bias dimension: inputs x (T, n_x)
+    and targets d (T,), in record order."""
     records = np.asarray(records, dtype=np.float64)
     cols = records.shape[1]
     tcol = spec.target_column % cols
     fcols = [j for j in range(cols) if j != tcol]
-    out = []
-    radius = spec.target_radius
-    for idx in range(records.shape[0]):
-        xs = spec.scale_features(records[idx, fcols])
-        d = spec.scale_target(float(records[idx, tcol]))
-        x = np.append(xs, 1.0)
-        if np.abs(xs).max(initial=0.0) > 1.0 + 1e-12 or abs(d) > radius + 1e-12:
-            raise AssertionError(f"scaled sample out of range at row {idx}")
-        out.append(StreamSample(x=x, d=d, t=idx + 1))
-    return out
+    xs = spec.scale_features(records[:, fcols])
+    d = np.array([spec.scale_target(float(v)) for v in records[:, tcol]])
+    bad = (np.abs(xs) > 1.0 + 1e-12).any(axis=1) | (np.abs(d) > spec.target_radius + 1e-12)
+    if bad.any():
+        raise AssertionError(f"scaled sample out of range at row {int(np.argmax(bad))}")
+    return np.column_stack([xs, np.ones(len(d))]), d
 
 
 @dataclass
@@ -208,23 +196,23 @@ def add_step(bits, carry: int) -> tuple[int, int]:
     return s % 2, s // 2
 
 
-def binary_add_stream(state: BinaryAddState, steps: int, start_t: int = 1) -> list[StreamSample]:
+def binary_add_stream(state: BinaryAddState, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Continue the bit stream: at each step draw n fair bits, emit the sum
-    bit, keep the carry.
+    bit, keep the carry. Returns inputs x (steps, n + 1) and targets d (steps,).
 
     The sum arithmetic runs on raw {0, 1} bits; the emitted model input holds
     the bits min-max scaled to {-1, +1} (the same convention as every other
     feature stream) with the bias dimension appended, so n_x = n + 1. Targets
     stay in {0, 1} for the cross-entropy loss.
     """
-    out = []
+    x = np.ones((steps, state.n + 1))
+    d = np.empty(steps)
     for k in range(steps):
         bits = state.rng.integers(0, 2, size=state.n)
-        d, state.carry = add_step(bits, state.carry)
+        d[k], state.carry = add_step(bits, state.carry)
         assert state.carry < state.n
-        x = np.append(2.0 * bits - 1.0, 1.0)
-        out.append(StreamSample(x=x, d=float(d), t=start_t + k))
-    return out
+        x[k, :-1] = 2.0 * bits - 1.0
+    return x, d
 
 
 def synthetic_regression_stream(
@@ -233,8 +221,9 @@ def synthetic_regression_stream(
     rng: np.random.Generator,
     n_h: int,
     noise_std: float = 0.02,
-) -> list[StreamSample]:
-    """Teacher-generated regression stream for self-contained experiments.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher-generated regression stream for self-contained experiments:
+    inputs x (steps, n_features + 1) and targets d (steps,).
 
     A fixed random Elman network (weights drawn from `rng`, spectral norms
     held below 1 so the stream is stable) maps uniform inputs in [-1, 1] to a
@@ -254,14 +243,13 @@ def synthetic_regression_stream(
     radius = math.sqrt(n_h)
     theta *= 0.9 * radius / (np.linalg.norm(theta) * math.sqrt(n_teacher))
     h = np.zeros(n_teacher)
-    out = []
-    for t in range(1, steps + 1):
-        x = np.append(rng.uniform(-1.0, 1.0, n_features), 1.0)
-        h = np.tanh(w @ h + u @ x)
-        d = float(theta @ h) + rng.normal(0.0, noise_std)
-        d = min(max(d, -radius), radius)
-        out.append(StreamSample(x=x, d=d, t=t))
-    return out
+    x = np.ones((steps, n_features + 1))
+    d = np.empty(steps)
+    for k in range(steps):
+        x[k, :-1] = rng.uniform(-1.0, 1.0, n_features)
+        h = np.tanh(w @ h + u @ x[k])
+        d[k] = min(max(float(theta @ h) + rng.normal(0.0, noise_std), -radius), radius)
+    return x, d
 
 
 def sustainable_prediction(

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wogd import tasks
+from wogd import harness, models, tasks
+from wogd.analysis import RegretLedger, estimate_smoothness
 from wogd.cli import main as cli_main
-from wogd.gradients import NumericOverflowError
+from wogd.gradients import ActivationTape, NumericOverflowError, tbptt_gradient
 from wogd.harness import (
     ConfigError,
     DivergedSeedsError,
@@ -27,6 +28,7 @@ from wogd.harness import (
     run_many,
     run_single,
 )
+from wogd.optim import WogdConfig, projected_gradient, wogd_step
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture_regression.csv")
 
@@ -112,8 +114,12 @@ class TestConfigParsing:
             ({"optimizer": "adam", "tbptt_depth": "-3"}, "tbptt_depth must be >= 0"),
             ({"features": "0"}, "features >= 1"),
             ({"init_std": "-1"}, "init_std must be >= 0"),
+            ({"optimizer": "sgd", "check_gradient_bounds": "true"},
+             "check_gradient_bounds requires the wogd optimizer"),
+            ({"regret_every": "3"}, "regret_every > 1 requires record_regret or record_smoothness"),
         ],
-        ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative"],
+        ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative",
+             "gradient-bounds-without-wogd", "regret-every-without-recording"],
     )
     def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
         raw = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
@@ -198,11 +204,11 @@ def _exploding_targets(bad_steps):
     real = tasks.synthetic_regression_stream
 
     def stream(n_features, steps, rng, n_h, **kwargs):
-        out = real(n_features, steps, rng, n_h, **kwargs)
+        x, d = real(n_features, steps, rng, n_h, **kwargs)
         t = bad_steps.get(rng.bit_generator.seed_seq.entropy)
         if t is not None:
-            out[t - 1] = dataclasses.replace(out[t - 1], d=np.inf)
-        return out
+            d[t - 1] = np.inf
+        return x, d
 
     return stream
 
@@ -213,6 +219,8 @@ def _synthetic(**over):
     base.update(over)
     return ExperimentConfig(**base)
 
+
+INSTRUMENTED = dict(record_regret=True, record_smoothness=True)
 
 # name -> (config, how the batched side runs, data patch or None)
 BATCH_CASES = {
@@ -231,6 +239,20 @@ BATCH_CASES = {
     "run-many-workers-3": (_synthetic(), lambda cfg, s: run_many(cfg, s, workers=3), None),
     # seed 4 diverges first in time, seed 2 first in seed order
     "diverging-members": (_synthetic(), run_batch, {2: 30, 4: 10}),
+    "regret-smoothness": (_synthetic(**INSTRUMENTED), run_batch, None),
+    "regret-every-3": (_synthetic(**INSTRUMENTED, regret_every=3), run_batch, None),
+    "gradient-bounds": (
+        fixture_cfg(check_gradient_bounds=True, steps=40, out_radius=1.0, out_lr_scale=1.0,
+                    alpha=0.0),
+        run_batch, None,
+    ),
+    "instrumented-run-many-workers-1": (
+        _synthetic(**INSTRUMENTED), lambda cfg, s: run_many(cfg, s, workers=1), None,
+    ),
+    "instrumented-run-many-workers-2": (
+        _synthetic(**INSTRUMENTED), lambda cfg, s: run_many(cfg, s, workers=2), None,
+    ),
+    "instrumented-diverging-members": (_synthetic(**INSTRUMENTED), run_batch, {2: 30, 4: 10}),
 }
 
 
@@ -239,6 +261,9 @@ def _outcome(fn):
         return fn()
     except NumericOverflowError as exc:
         return exc
+
+
+LEDGER_LISTS = ("grad_sq_theta", "grad_sq_mu", "regret", "normalized", "beta_exp")
 
 
 def assert_same_runs(got, want):
@@ -252,6 +277,9 @@ def assert_same_runs(got, want):
         assert (a.projection_count, a.sustainable_t) == (b.projection_count, b.sustainable_t)
         assert a.curve.dtype == b.curve.dtype
         np.testing.assert_array_equal(a.curve, b.curve)
+        assert (a.ledger is None) == (b.ledger is None)
+        for name in LEDGER_LISTS if a.ledger is not None else ():
+            assert getattr(a.ledger, name) == getattr(b.ledger, name), name
 
 
 class TestRunBatch:
@@ -276,10 +304,86 @@ class TestRunBatch:
         if case == "binary-add":
             assert len({r.steps for r in got}) > 1  # members leave at different t
 
-    def test_instrumented_configs_stay_serial(self):
+    @pytest.mark.parametrize(
+        "over",
+        [{}, INSTRUMENTED, dict(INSTRUMENTED, regret_every=3),
+         dict(INSTRUMENTED, model="cwrnn", n_h=6, periods=(1, 2, 4)),
+         dict(record_regret=True, gradient_mode="cached", window=10, alpha=0.0)],
+        ids=["plain", "instrumented", "every-3", "cwrnn", "cached-alpha-0"],
+    )
+    def test_matches_reference_loop(self, over):
+        cfg = _synthetic(**over)
+        got = run_batch(cfg, (1, 2, 3))
+        for res in got:
+            curve, projections, ledger = _reference_run(cfg, res.seed)
+            np.testing.assert_array_equal(res.curve, curve)
+            assert res.projection_count == projections
+            assert (res.ledger is None) == (ledger is None)
+            for name in LEDGER_LISTS if ledger is not None else ():
+                assert getattr(res.ledger, name) == getattr(ledger, name), name
+
+    def test_gradient_bounds_checked_per_member_and_step(self, monkeypatch):
+        calls = []
+        real = harness._gradient_bound_check
+
+        def counting(params, grads, cfg, t):
+            calls.append(t)
+            real(params, grads, cfg, t)
+
+        monkeypatch.setattr(harness, "_gradient_bound_check", counting)
+        cfg = BATCH_CASES["gradient-bounds"][0]
+        run_batch(cfg, (1, 2))
+        assert sorted(calls) == sorted(list(range(1, 41)) * 2)
+        calls.clear()
+        run_batch(dataclasses.replace(cfg, check_gradient_bounds=False), (1, 2))
+        assert calls == []
+
+    def test_rejects_non_wogd_configs(self):
         with pytest.raises(ConfigError):
-            run_batch(_synthetic(record_regret=True), (1,))
+            run_batch(_synthetic(optimizer="sgd", learning_rate=0.01), (1,))
         assert run_batch(_synthetic(), ()) == []
+
+
+def _reference_run(cfg, seed):
+    """One synthetic-task WOGD run written out step by step with the one-run
+    API: the online loop that run_batch must reproduce bit for bit. Returns
+    the loss curve, the projection count and the regret ledger (or None)."""
+    rng_init, rng_data = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2)
+    )
+    xs, ds = tasks.synthetic_regression_stream(cfg.features, cfg.steps, rng_data, cfg.n_h)
+    n_x = xs.shape[1]
+    if cfg.model == "cwrnn":
+        params = models.random_cwrnn(cfg.n_h, n_x, cfg.periods, cfg.init_std, rng_init)
+    else:
+        params = models.random_srnn(cfg.n_h, n_x, cfg.init_std, rng_init)
+    wcfg = WogdConfig(
+        eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
+        out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius, mode=cfg.gradient_mode,
+    )
+    instrumented = cfg.record_regret or cfg.record_smoothness
+    ledger = RegretLedger(cfg.eta, cfg.window, cfg.lam, cfg.n_h, n_x) if instrumented else None
+    state = models.zero_state(params)
+    tape = ActivationTape(cfg.window, state.h, n_x)
+    losses, projections = [], 0
+    for t, (x, d) in enumerate(zip(xs, ds), start=1):
+        state, _ = models.step_model(params, state, x)
+        pred = models.readout(params, state, cfg.loss_kind)
+        tape.push(x, d, pred, state.h)
+        grads = tbptt_gradient(tape, params, cfg.gradient_mode, cfg.loss_kind)
+        sampled = instrumented and (t - 1) % cfg.regret_every == 0
+        if sampled:
+            ledger.record_regret(projected_gradient(params, grads, wcfg))
+        new, triggered = wogd_step(wcfg, params, grads, t)
+        projections += triggered
+        if sampled and cfg.record_smoothness:
+            probe = models.replace_blocks(new, {"theta_out": params.theta_out})
+            after = tbptt_gradient(tape, probe, "replay", cfg.loss_kind)
+            ledger.record_smoothness(estimate_smoothness(grads, after, params, probe))
+        params = new
+        r = pred - d
+        losses.append(r * r)
+    return np.cumsum(losses) / np.arange(1, len(losses) + 1), projections, ledger
 
 
 class TestGridSearch:

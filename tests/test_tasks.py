@@ -110,21 +110,21 @@ class TestScaling:
         records = np.array([[7.0, 1.0, 0.0], [7.0, 2.0, 1.0], [7.0, 3.0, 2.0]])
         spec = fit_scaling(records, n_h=4)
         assert spec.constant_features == (0,)
-        samples = scaled_stream(records, spec)
-        assert all(s.x[0] == 0.0 for s in samples)
+        x, _ = scaled_stream(records, spec)
+        assert np.all(x[:, 0] == 0.0)
 
     def test_stream_shape_and_ranges(self):
         rng = np.random.default_rng(0)
         records = rng.normal(0.0, 5.0, (40, 4))
         spec = fit_scaling(records, n_h=9)
-        samples = scaled_stream(records, spec)
-        assert len(samples) == 40
-        for s in samples:
-            assert s.x.shape == (4,)  # 3 scaled features + bias
-            assert s.x[-1] == 1.0
-            assert np.all(np.abs(s.x[:-1]) <= 1.0 + 1e-12)
-            assert abs(s.d) <= 3.0 + 1e-12
-        assert [s.t for s in samples] == list(range(1, 41))
+        x, d = scaled_stream(records, spec)
+        assert x.shape == (40, 4)  # 3 scaled features + bias
+        assert d.shape == (40,)
+        assert np.all(x[:, -1] == 1.0)
+        assert np.all(np.abs(x[:, :-1]) <= 1.0 + 1e-12)
+        assert np.all(np.abs(d) <= 3.0 + 1e-12)
+        # record order is kept
+        np.testing.assert_array_equal(d, [spec.scale_target(v) for v in records[:, -1]])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -153,17 +153,22 @@ class TestBinaryAddition:
     def test_stream_reproducible(self):
         a = binary_add_stream(binary_add_state(2, seed=99), 200)
         b = binary_add_stream(binary_add_state(2, seed=99), 200)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.x, sb.x)
-            assert sa.d == sb.d
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_chunks_continue_the_stream(self):
+        whole = binary_add_stream(binary_add_state(3, seed=4), 300)
+        state = binary_add_state(3, seed=4)
+        parts = [binary_add_stream(state, k) for k in (100, 0, 200)]
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in parts]), whole[0])
+        np.testing.assert_array_equal(np.concatenate([d for _, d in parts]), whole[1])
 
     def test_sample_ranges(self):
-        samples = binary_add_stream(binary_add_state(3, seed=5), 300)
-        for s in samples:
-            assert s.x.shape == (4,)
-            assert set(np.unique(s.x[:-1])) <= {-1.0, 1.0}
-            assert s.x[-1] == 1.0
-            assert s.d in (0.0, 1.0)
+        x, d = binary_add_stream(binary_add_state(3, seed=5), 300)
+        assert x.shape == (300, 4) and d.shape == (300,)
+        assert set(np.unique(x[:, :-1])) <= {-1.0, 1.0}
+        assert np.all(x[:, -1] == 1.0)
+        assert set(np.unique(d)) <= {0.0, 1.0}
 
     def test_big_integer_oracle(self):
         # The emitted bit stream must equal the binary expansion of the sum of
@@ -171,14 +176,14 @@ class TestBinaryAddition:
         for n in (2, 3):
             state = binary_add_state(n, seed=123)
             steps = 10_000
-            samples = binary_add_stream(state, steps)
+            x, d = binary_add_stream(state, steps)
             addends = [0] * n
             out_bits = []
-            for k, s in enumerate(samples):
-                bits = ((s.x[:-1] + 1.0) / 2.0).astype(int)  # unscale to {0,1}
+            for k in range(steps):
+                bits = ((x[k, :-1] + 1.0) / 2.0).astype(int)  # unscale to {0,1}
                 for j in range(n):
                     addends[j] |= int(bits[j]) << k
-                out_bits.append(int(s.d))
+                out_bits.append(int(d[k]))
             total = sum(addends)
             emitted = sum(b << k for k, b in enumerate(out_bits))
             mask = (1 << steps) - 1
@@ -223,9 +228,9 @@ class TestSyntheticStream:
         a = synthetic_regression_stream(3, 100, np.random.default_rng(7), n_h=10)
         b = synthetic_regression_stream(3, 100, np.random.default_rng(7), n_h=10)
         radius = math.sqrt(10.0)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.x, sb.x)
-            assert sa.d == sb.d
-            assert abs(sa.d) <= radius
-            assert sa.x.shape == (4,)
-            assert sa.x[-1] == 1.0
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        x, d = a
+        assert x.shape == (100, 4) and d.shape == (100,)
+        assert np.all(np.abs(d) <= radius)
+        assert np.all(x[:, -1] == 1.0)
