@@ -201,17 +201,17 @@ def _elman_backward(
     """Backward pass for h_t = tanh(w h_{t-1} + u x_t) given loss-weighted
     residuals resid_w (B, m). The states come time-major (h) for the loop
     and member-major (hb (B, m + 1, n_h)) for the sums over time, next to
-    the member-major inputs xb. `active` (m, n_h), boolean, routes copied
-    units through an identity Jacobian (clockwork case). Returns (B, ...)
-    stacks."""
+    the member-major inputs xb. `active` (m, B|1, n_h), boolean, routes
+    copied units through an identity Jacobian (clockwork case). Returns
+    (B, ...) stacks."""
     g_out = np.matmul(resid_w[:, None, :], hb[:, 1:])[:, 0]
     # dh_t = theta r_t + carry, accumulated in place, newest step first.
     dh = (resid_w.T[:, :, None] * theta[None, :, :])[..., None]
     tanhp = 1.0 - h[1:] * h[1:]
     inactive = [None] * len(tanhp)
     if active is not None:
-        tanhp = tanhp * active[:, None, :, None]
-        inactive = ~active[:, :, None]
+        tanhp = tanhp * active[..., None]
+        inactive = ~active[..., None]
     deltas = np.empty(tanhp.shape)
     carry = np.zeros(h.shape[1:])
     wt = w.swapaxes(1, 2)
@@ -246,9 +246,11 @@ def elman_window_gradient(
 
     The window is time-major, as an ActivationTape holds it: inputs x
     (m, B, n_x), targets d and recorded predictions pred (m, B), the anchor
-    plus recorded states h (m + 1, B, n_h), and the timesteps ts. Replay mode
-    re-runs the window from h[0] with the stacked parameters (w, u, theta);
-    cached mode uses the recorded pred and h.
+    plus recorded states h (m + 1, B, n_h), and the timesteps ts, (m,) or per
+    member (m, B). Replay mode re-runs the window from h[0] with the stacked
+    parameters (w, u, theta) and reads neither pred nor h[1:], so members may
+    carry windows from different anchors and timesteps; cached mode uses the
+    recorded pred and h.
     `clock` is any member's parameters (or None for the SRNN); a CwrnnParams
     brings the clockwork mask and schedule. Returns the gradient stacks and,
     per member, the first non-finite quantity in the order the single-tape

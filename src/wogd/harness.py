@@ -57,9 +57,7 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -498,6 +496,25 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     return _result(cfg, seed, time.perf_counter() - started, losses, sustainable_t)
 
 
+def _paired_windows(tape: ActivationTape, x_next: np.ndarray, d_next: np.ndarray):
+    """The full window of B runs beside the window one step on, which drops
+    the oldest step and ends with the next inputs x_next (B|1, n_x) and
+    targets d_next (B|1,), as 2B members of a replay-mode
+    elman_window_gradient call: inputs, targets, no predictions, the two
+    anchors h[0] and h[1], and per-member timesteps."""
+    m, batch = tape.d.shape
+    x = np.empty((m, 2 * batch, tape.x.shape[2]))
+    d = np.empty((m, 2 * batch))
+    for full, pair in ((tape.x, x), (tape.d, d)):
+        pair[:, :batch] = full
+        pair[:-1, batch:] = full[1:]
+    x[-1, batch:] = x_next
+    d[-1, batch:] = d_next
+    h = np.concatenate([tape.h[:1], tape.h[1:2]], axis=1)
+    ts = np.repeat(np.stack([tape.ts, tape.ts + 1], axis=1), batch, axis=1)
+    return x, d, None, h, ts
+
+
 @_quiet_divergence
 def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     """Train the seeds of one srnn/cwrnn-wogd config in lockstep; one seed is
@@ -514,7 +531,11 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     closed-form gradient ceiling (an AssertionError when violated), the
     projected-gradient regret entry before the update and, after it, the
     smoothness probe, which replays the window at the new hidden weights and
-    the old output weights for all members in one call.
+    the old output weights for all members in one call. Step t + 1's replay
+    runs at the same hidden weights, so once the window is full and before
+    the last step that call also replays the next window (one step on, from
+    the next anchor, at the new output weights) as B more members, and step
+    t + 1 takes its gradient from there instead of calling the kernel again.
 
     A member leaves the batch when it reaches the binary-addition horizon or
     when its gradient, update or smoothness probe turns non-finite; the
@@ -555,6 +576,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     ]
 
     order = np.arange(len(seeds))  # seed position of each batch member
+    pending = None  # step t + 1's (grads, failed), replayed in step t's probe call
     losses = np.empty((total, len(seeds)))
     projections = np.zeros(len(seeds), dtype=np.int64)
     consec = np.zeros(len(seeds), dtype=np.int64)
@@ -576,9 +598,12 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         m = len(tape)
         weights = np.full(m, 1.0 / m)
         window = (tape.x, tape.d, tape.pred, tape.h, tape.ts)
-        grads, failed = elman_window_gradient(
-            *window, w, u, theta, wcfg.mode, loss_kind, weights, template
-        )
+        if pending is None:
+            grads, failed = elman_window_gradient(
+                *window, w, u, theta, wcfg.mode, loss_kind, weights, template
+            )
+        else:
+            (grads, failed), pending = pending, None
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         probing = sampled and cfg.record_smoothness
         if probing:
@@ -604,9 +629,20 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
         if probing:
             # the same windowed loss at (new w, new u, old theta_out)
-            after, failed = elman_window_gradient(
-                *window, w, u, before[2], "replay", loss_kind, weights, template
-            )
+            if m == cfg.window and t < total:
+                # members B..2B-1: step t + 1's replay at (new w, new u, new theta_out)
+                batch = len(order)
+                both, failed = elman_window_gradient(
+                    *_paired_windows(tape, *stream.at(t + 1)),
+                    np.concatenate([w, w]), np.concatenate([u, u]),
+                    np.concatenate([before[2], theta]), "replay", loss_kind, weights, template,
+                )
+                after = {k: g[:batch] for k, g in both.items()}
+                pending = {k: g[batch:] for k, g in both.items()}, failed[batch:]
+            else:
+                after, failed = elman_window_gradient(
+                    *window, w, u, before[2], "replay", loss_kind, weights, template
+                )
             for b in range(len(order)):
                 if b in leaving:
                     continue
@@ -651,6 +687,11 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             w, u, theta, losses = w[keep], u[keep], theta[keep], losses[:, keep]
             tape.keep(keep)
             stream.keep(keep)
+            if pending is not None:
+                grads_next, failed_next = pending
+                pending = (
+                    {k: g[keep] for k, g in grads_next.items()}, [failed_next[b] for b in keep]
+                )
 
     runtime = (time.perf_counter() - started) / len(seeds)
     results = [
@@ -700,6 +741,10 @@ def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunRes
     else:
         parts = [(s,) for s in seeds]
     if workers > 1 and len(parts) > 1:
+        # imported here: the pool machinery takes about a tenth of `import wogd`
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=min(workers, len(parts)), mp_context=context) as pool:
             done = list(pool.map(_run_seeds, [cfg] * len(parts), parts))

@@ -173,7 +173,8 @@ class CwrnnParams:
 
     def active_units(self, t) -> np.ndarray:
         """Boolean mask of units whose block updates at timestep t, (n_h,);
-        for an array of timesteps (m,), one row per timestep, (m, n_h)."""
+        for an array of timesteps, one row per timestep: (m, n_h) for (m,),
+        (m, B, n_h) for per-run timesteps (m, B)."""
         return (np.asarray(t)[..., None] % self.unit_periods()) == 0
 
 
@@ -204,13 +205,15 @@ def member_major(a: np.ndarray) -> np.ndarray:
 
 def clockwork(w: np.ndarray, family, ts) -> tuple[np.ndarray, np.ndarray | None]:
     """The recurrent matrices w (B, n_h, n_h) of runs of the same family as
-    the parameters `family`, as the recurrence applies them at timesteps ts.
-    For a clockwork family: w masked to its slower-to-faster connectivity and
-    the units' activity, (m, n_h) boolean. Otherwise (SRNN or None): w
-    unchanged and no schedule."""
+    the parameters `family`, as the recurrence applies them at timesteps ts,
+    (m,) shared by the runs or (m, B) per run. For a clockwork family: w
+    masked to its slower-to-faster connectivity and the units' activity,
+    boolean (m, 1, n_h) or (m, B, n_h). Otherwise (SRNN or None): w unchanged
+    and no schedule."""
     if not isinstance(family, CwrnnParams):
         return w, None
-    return w * family.recurrent_mask(), family.active_units(ts)
+    ts = np.asarray(ts)
+    return w * family.recurrent_mask(), family.active_units(ts.reshape(len(ts), -1))
 
 
 def elman_forward(
@@ -223,8 +226,8 @@ def elman_forward(
     """Run h_t = tanh(w h_{t-1} + u x_t) over the member-major inputs
     xb (B, m, n_x) from the anchors h0 (B, n_h, 1).
 
-    `active` (m, n_h), boolean, is a clockwork schedule: inactive units keep
-    their previous value. Returns the states (m + 1, B, n_h, 1), h[0] = h0.
+    `active` (m, B|1, n_h), boolean, is a clockwork schedule: inactive units
+    keep their previous value. Returns the states (m + 1, B, n_h, 1), h[0] = h0.
     """
     # One product per member for all the inputs of the window, then one
     # time-major block per step that the loop overwrites with the

@@ -14,7 +14,7 @@ import pytest
 
 from wogd.analysis import regret_bound, smoothness_bounds
 from wogd.gradients import ActivationTape, fd_gradient, tbptt_gradient
-from wogd.harness import ExperimentConfig, run_single
+from wogd.harness import ExperimentConfig, run_many, run_single
 from wogd.linalg import clip_singular_values, project_l2_ball, spectral_norm
 from wogd.models import (
     SrnnParams,
@@ -193,27 +193,22 @@ def test_criterion_5_normalized_regret_trend():
     by majority vote over 5 seeds."""
     seeds = (1, 2, 3, 4, 5)
     windows = (50, 100, 200)
-    votes_trend = 0
-    votes_order = 0
-    finals: dict[int, dict[int, float]] = {}
-    for seed in seeds:
-        per_w = {}
-        trend_ok = True
-        for w in windows:
-            cfg = ExperimentConfig(
-                task="synthetic", features=3, steps=1500, model="srnn", n_h=5,
-                optimizer="wogd", eta=0.05, window=w, lam=0.95, alpha=7.5,
-                out_lr_scale=8.0, out_radius=2.5, record_regret=True,
-            )
-            res = run_single(cfg, seed)
+    finals: dict[int, dict[int, float]] = {seed: {} for seed in seeds}
+    trend_ok = {seed: True for seed in seeds}
+    for w in windows:
+        cfg = ExperimentConfig(
+            task="synthetic", features=3, steps=1500, model="srnn", n_h=5,
+            optimizer="wogd", eta=0.05, window=w, lam=0.95, alpha=7.5,
+            out_lr_scale=8.0, out_radius=2.5, record_regret=True,
+        )
+        for seed, res in zip(seeds, run_many(cfg, seeds)):
             norm = np.asarray(res.ledger.normalized)
             q = norm.shape[0] // 4
             if not norm[-q:].mean() < norm[:q].mean():
-                trend_ok = False
-            per_w[w] = float(norm[-1])
-        finals[seed] = per_w
-        votes_trend += trend_ok
-        votes_order += per_w[200] < per_w[100] < per_w[50]
+                trend_ok[seed] = False
+            finals[seed][w] = float(norm[-1])
+    votes_trend = sum(trend_ok.values())
+    votes_order = sum(f[200] < f[100] < f[50] for f in finals.values())
     ok = votes_trend >= 3 and votes_order >= 3
     report(5, "PASS" if ok else "FAIL",
            f"trend votes {votes_trend}/5, window-ordering votes {votes_order}/5; "
@@ -267,10 +262,7 @@ def test_criterion_7a_binary_addition_two_streams():
     """Sustainable prediction within 10^4 steps on at least 4 of 5 seeds."""
     seeds = (1, 2, 3, 4, 5)
     cfg = _binary_config(2, eta=0.05, n_h=32, cutoff=10_000)
-    reached = {}
-    for seed in seeds:
-        res = run_single(cfg, seed)
-        reached[seed] = res.sustainable_t
+    reached = {res.seed: res.sustainable_t for res in run_many(cfg, seeds)}
     hits = sum(1 for v in reached.values() if v is not None)
     ok = hits >= 4
     report(7, "PASS" if ok else "FAIL",
@@ -282,10 +274,7 @@ def test_criterion_7b_binary_addition_three_streams():
     """Sustainable prediction before the 5x10^4 cutoff on at least 3 of 5 seeds."""
     seeds = (1, 2, 3, 4, 5)
     cfg = _binary_config(3, eta=0.05, n_h=32, cutoff=50_000)
-    reached = {}
-    for seed in seeds:
-        res = run_single(cfg, seed)
-        reached[seed] = res.sustainable_t
+    reached = {res.seed: res.sustainable_t for res in run_many(cfg, seeds)}
     hits = sum(1 for v in reached.values() if v is not None)
     ok = hits >= 3
     report(7, "PASS" if ok else "FAIL",

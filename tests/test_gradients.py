@@ -383,7 +383,6 @@ class TestLockstepKernel:
         rng = np.random.default_rng(seed)
         # cwrnn: period 2 on odd sizes leaves units idle every other step
         periods = (1, 2) if n_h % 2 == 0 else (2,)
-        extra = int(rng.integers(0, 4))  # steps already evicted: non-zero anchor
         members, tapes = [], []
         for _ in range(batch):
             if arch == "srnn":
@@ -391,6 +390,8 @@ class TestLockstepKernel:
             else:
                 p = random_cwrnn(n_h, n_x, periods, 0.4, rng)
             members.append(p)
+            # steps already evicted, per member: its own anchor and timesteps
+            extra = int(rng.integers(0, 4))
             tapes.append(drive(p, m + extra, rng, kind, capacity=m))
             # drift the parameters so cached and replay differ
             members[-1] = replace_blocks(p, {"w": p.w * 0.9, "theta_out": p.theta_out + 0.1})
@@ -399,7 +400,7 @@ class TestLockstepKernel:
             np.concatenate([getattr(t, name) for t in tapes], axis=1)
             for name in ("x", "d", "pred", "h")
         )
-        ts = np.arange(extra + 1, extra + m + 1)
+        ts = np.stack([t.ts for t in tapes], axis=1)
         grads, failed = elman_window_gradient(
             x, d, pred, h, ts,
             np.stack([p.w for p in members]), np.stack([p.u for p in members]),

@@ -253,6 +253,19 @@ BATCH_CASES = {
         _synthetic(**INSTRUMENTED), lambda cfg, s: run_many(cfg, s, workers=2), None,
     ),
     "instrumented-diverging-members": (_synthetic(**INSTRUMENTED), run_batch, {2: 30, 4: 10}),
+    # the smoothness probe shares its call with the next step's replay: over a
+    # csv stream's shared member axis, with members leaving at the horizon
+    # while their next-step half is pending, and per member clockwork schedules
+    "instrumented-csv": (fixture_cfg(**INSTRUMENTED), run_batch, None),
+    "instrumented-binary-add": (
+        ExperimentConfig(task="binary_add", model="srnn", n_h=8, optimizer="wogd",
+                         eta=0.5, window=10, horizon=12, cutoff=700, **INSTRUMENTED),
+        run_batch, None,
+    ),
+    "instrumented-cwrnn": (
+        _synthetic(model="cwrnn", n_h=6, periods=(1, 2, 4), features=2, **INSTRUMENTED),
+        run_batch, None,
+    ),
 }
 
 
@@ -301,7 +314,7 @@ class TestRunBatch:
             assert_same_runs(run_batch(cfg, [seed]), [got[k]])
         if case == "alpha-0":
             assert all(r.projection_count > 0 for r in got)
-        if case == "binary-add":
+        if case in ("binary-add", "instrumented-binary-add"):
             assert len({r.steps for r in got}) > 1  # members leave at different t
 
     @pytest.mark.parametrize(
@@ -337,6 +350,22 @@ class TestRunBatch:
         calls.clear()
         run_batch(dataclasses.replace(cfg, check_gradient_bounds=False), (1, 2))
         assert calls == []
+
+    def test_probe_shares_the_next_replay_call(self, monkeypatch):
+        calls = []
+        real = harness.elman_window_gradient
+
+        def counting(*args):
+            calls.append(args[0].shape[1])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "elman_window_gradient", counting)
+        run_batch(_synthetic(**INSTRUMENTED), (1,))
+        # 60 steps, window 20: steps 1-19 replay and probe apart (38 calls),
+        # step 20 replays alone, steps 20-59 probe together with the next
+        # step's replay (40 calls of 2 members) and step 60 probes alone
+        assert len(calls) == 80
+        assert calls.count(2) == 40
 
     def test_rejects_non_wogd_configs(self):
         with pytest.raises(ConfigError):
@@ -606,15 +635,22 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
         def failing_svd(*args, **kwargs):
+            calls.append(args)
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr("wogd.linalg.np.linalg.svd", failing_svd)
         cfg_path = tmp_path / "exp.cfg"
+        # lambda below the initial weights' Frobenius norm: the regret's
+        # spectral clip cannot take its no-SVD exit
         cfg_path.write_text(
             CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out")
             .replace("seeds = 1,2", "seeds = 1")
+            .replace("lambda = 0.9", "lambda = 0.05")
             + "steps = 20\nrecord_regret = true\n"
         )
         assert cli_main(["run", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err.strip() == "error[numeric]: SVD did not converge"
+        assert calls

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wogd.linalg import (
     clip_singular_values,
@@ -229,6 +232,69 @@ class TestClipSingularValues:
     def test_requires_positive_lambda(self):
         with pytest.raises(ValueError):
             clip_singular_values(np.eye(2), 0.0)
+
+
+def svd_clip_reference(m: np.ndarray, lam: float) -> np.ndarray:
+    """The spectral clip with an SVD on every call, no Frobenius-norm exit."""
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    if sigma[0] <= lam:
+        return m.copy()
+    return (u * np.minimum(sigma, lam)) @ vt
+
+
+@st.composite
+def clip_cases(draw, shape=None):
+    """A matrix, dense or rank one (sigma_max and ||A||_F then agree up to
+    rounding), and a bound lam: anywhere, or exactly at the computed
+    Frobenius or spectral norm, where a no-SVD exit would first disagree
+    with the SVD."""
+    rows, cols = shape or (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    values = st.floats(-4.0, 4.0, allow_subnormal=False)
+    if draw(st.booleans()):
+        m = np.outer(draw(arrays(np.float64, rows, elements=values)),
+                     draw(arrays(np.float64, cols, elements=values)))
+    else:
+        m = draw(arrays(np.float64, (rows, cols), elements=values))
+    at = draw(st.sampled_from(["anywhere", "frobenius", "sigma"]))
+    if at == "frobenius":
+        lam = float(np.linalg.norm(m))
+    elif at == "sigma":
+        lam = float(np.linalg.svd(m, full_matrices=False)[1][0])
+    else:
+        lam = draw(st.floats(0.01, 20.0))
+    return m, lam if lam > 0 else 1.0
+
+
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+class TestClipProperties:
+    @PROPERTY
+    @given(case=clip_cases())
+    def test_bitwise_equal_to_svd_reference(self, case):
+        m, lam = case
+        got = clip_singular_values(m, lam)
+        assert got.shape == m.shape and got is not m
+        assert np.array_equal(got, svd_clip_reference(m, lam))
+
+    @PROPERTY
+    @given(case=clip_cases())
+    def test_idempotent(self, case):
+        m, lam = case
+        clipped = clip_singular_values(m, lam)
+        again = clip_singular_values(clipped, lam)
+        # a clip whose computed spectral norm rounds above lam moves again,
+        # by rounding; one within the bound comes back bit for bit
+        np.testing.assert_allclose(again, clipped, rtol=0, atol=1e-12 * lam)
+        if np.linalg.svd(clipped, full_matrices=False)[1][0] <= lam:
+            assert np.array_equal(again, clipped)
+
+    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @given(case=clip_cases(shape=(2, 2)))
+    def test_never_farther_than_grid_oracle(self, case):
+        m, lam = case
+        d_clip = np.linalg.norm(clip_singular_values(m, lam) - m)
+        assert d_clip <= grid_nearest_distance(m, lam) + 1e-12
 
 
 class TestProjectL2Ball:
