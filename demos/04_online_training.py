@@ -29,8 +29,8 @@ print()
 print(f"{'algorithm':>18s}  {'mse(mean)':>10s}  {'mse(min)':>10s}  {'runtime_s':>10s}")
 for row in summary.rows:
     print(f"{row.label:>18s}  {row.mse_mean:10.5f}  {row.mse_min:10.5f}  {row.runtime_mean_s:10.2f}")
-print("(runtime_s is wall time per run; the srnn-wogd seeds train in lockstep,")
-print(" so theirs is the batch's wall time divided by the number of seeds)")
+print("(the seeds of each setup train in lockstep, so runtime_s is the batch's")
+print(" wall time divided by the number of seeds)")
 
 print()
 print("learning curves (cumulative mean squared error) at checkpoints:")

@@ -15,13 +15,16 @@ Gradients come in two flavours:
   (computed under the historical parameters) with the current weight
   matrices. The classical, cheaper TBPTT approximation.
 
-``instant_gradient`` is the cached-mode gradient of the newest loss only and
-is what the first-order baselines (SGD/RMSprop/Adam) consume.
+Each family has one kernel over the runs of a tape, B = 1 included:
+``elman_window_gradient`` (SRNN and CWRNN) and ``lstm_window_gradient``;
+``window_gradient`` picks the family's kernel for a tape. The first-order
+baselines (SGD/RMSprop/Adam) take its cached-mode gradient of the newest loss
+only; ``instant_gradient`` is that gradient for one run.
 
 ``tbptt_gradient``, ``instant_gradient``, ``smoothed_loss`` and
 ``fd_gradient`` read a one-run tape. All gradients are returned as a dict
 keyed by parameter-block name, with the same shapes as the corresponding
-parameter arrays (``elman_window_gradient`` adds a leading member axis).
+parameter arrays (the kernels add a leading member axis).
 """
 
 from __future__ import annotations
@@ -170,9 +173,10 @@ def _window_length(tape: ActivationTape) -> int:
     return len(tape)
 
 
-def _check_finite(arr: np.ndarray, tape_end_t: int, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericOverflowError(tape_end_t, what)
+def _cells(tape: ActivationTape) -> np.ndarray:
+    if tape.c is None:
+        raise ValueError("LSTM gradients need a tape made with an anchor cell c0")
+    return tape.c
 
 
 def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> float:
@@ -271,86 +275,130 @@ def elman_window_gradient(
     if active is not None:
         grads["w"] = grads["w"] * clock.recurrent_mask()
 
-    checks = [(f"gradient block {name!r}", g) for name, g in grads.items()]
-    if mode == "replay":
-        checks.insert(0, ("hidden state", states.swapaxes(0, 1)))
-    failed: list[str | None] = [None] * len(theta)
+    states = [("hidden state", states.swapaxes(0, 1))] if mode == "replay" else []
+    return grads, first_failures(states + _gradient_checks(grads))
+
+
+def first_failures(checks) -> list[str | None]:
+    """Per member, the name of the first check whose (B, ...) array holds a
+    non-finite value, or None; checks are (name, array) pairs in order."""
+    failed: list[str | None] = [None] * len(checks[0][1])
     for what, arr in reversed(checks):  # the earliest failing check wins
         finite = np.isfinite(arr)
         if not finite.all():
             for b in np.flatnonzero(~finite.reshape(len(arr), -1).all(axis=1)):
                 failed[b] = what
-    return grads, failed
+    return failed
 
 
-def _elman_tape_gradient(tape: ActivationTape, p, mode: str, loss_kind: str, weights: np.ndarray):
-    # The B = 1 case of the lockstep kernel, for one tape.
-    grads, failed = elman_window_gradient(
-        tape.x, tape.d, tape.pred, tape.h, tape.ts, p.w[None], p.u[None], p.theta_out[None],
-        mode, loss_kind, weights, p,
-    )
-    if failed[0] is not None:
-        raise NumericOverflowError(tape.t, failed[0])
-    return {name: g[0] for name, g in grads.items()}
+def _gradient_checks(grads: dict[str, np.ndarray]) -> list[tuple[str, np.ndarray]]:
+    return [(f"gradient block {name!r}", g) for name, g in grads.items()]
 
 
 # ---------------------------------------------------------------------------
-# LSTM backward pass
+# LSTM backward pass, batched like models.lstm_forward
 # ---------------------------------------------------------------------------
 
 
-def _lstm_window(tape: ActivationTape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The one run of an LSTM tape: x (m, n_x), states h and cells c (m + 1, n_h).
-    if tape.c is None:
-        raise ValueError("LSTM gradients need a tape made with an anchor cell c0")
-    return tape.x[:, 0], tape.h[:, 0], tape.c[:, 0]
-
-
-def _lstm_backward(
-    p: LstmParams,
-    h: np.ndarray,
-    c_prev: np.ndarray,
-    gi: np.ndarray,
-    gf: np.ndarray,
-    go: np.ndarray,
-    gg: np.ndarray,
-    tc: np.ndarray,
-    x: np.ndarray,
-    resid_w: np.ndarray,
-) -> dict[str, np.ndarray]:
-    m, n_h = x.shape[0], p.n_h
-    wst, _, _ = lstm_stacks(p)
-    wst_t = wst.T
-    g_out = resid_w @ h[1:]
-    rv = np.outer(resid_w, p.theta_out)
+def _lstm_backward(w, theta, hb, c_prev, gi, gf, go, gg, tc, xb, resid_w) -> dict[str, np.ndarray]:
+    """Backward pass of the LSTM with gate stacks w (B, 4 n_h, n_h) and
+    readouts theta (B, n_h) given loss-weighted residuals resid_w (B, m). The
+    previous cells c_prev, gates and tanh(c_t) tc come time-major (m, B, n_h)
+    for the loop, the states hb (B, m + 1, n_h) and inputs xb (B, m, n_x)
+    member-major for the sums over time. Returns (B, ...) stacks keyed like
+    param_blocks."""
+    n_h = theta.shape[1]
+    g_out = np.matmul(resid_w[:, None, :], hb[:, 1:])[:, 0]
+    rv = resid_w.T[:, :, None] * theta[None, :, :]
     si = gi * (1.0 - gi)
     sf = gf * (1.0 - gf)
     so = go * (1.0 - go)
     sg = 1.0 - gg * gg
     tcp = 1.0 - tc * tc
-    da = np.empty((m, 4 * n_h))
-    carry_h = np.zeros(n_h)
-    carry_c = np.zeros(n_h)
-    for i in range(m - 1, -1, -1):
-        dh = rv[i] + carry_h
-        dc = dh * go[i] * tcp[i] + carry_c
-        da[i, :n_h] = dc * gg[i] * si[i]
-        da[i, n_h : 2 * n_h] = dc * c_prev[i] * sf[i]
-        da[i, 2 * n_h : 3 * n_h] = dh * tc[i] * so[i]
-        da[i, 3 * n_h :] = dc * gi[i] * sg[i]
-        carry_c = dc * gf[i]
-        carry_h = wst_t @ da[i]
-    g_w = da.T @ h[:-1]
-    g_u = da.T @ x
+    # da_t (m, B, 4 n_h, 1): d(loss)/d(pre-activations), gate by gate
+    da = np.empty(gi.shape[:2] + (4 * n_h, 1))
+    parts = [da[:, :, k * n_h : (k + 1) * n_h, 0] for k in range(4)]
+    carry = np.zeros(theta.shape + (1,))
+    carry_h, carry_c = carry[..., 0], np.zeros(theta.shape)
+    dh, dc = np.empty(theta.shape), np.empty(theta.shape)
+    wt = w.swapaxes(1, 2)
+    add, multiply, matmul = np.add, np.multiply, np.matmul  # the loop is call-bound
+    steps = zip(rv, go, tcp, gg, si, c_prev, sf, tc, so, gi, sg, gf, da, *parts)
+    for rv_t, go_t, tcp_t, gg_t, si_t, cp_t, sf_t, tc_t, so_t, gi_t, sg_t, gf_t, da_t, *d in (
+        reversed(list(steps))
+    ):
+        add(rv_t, carry_h, out=dh)
+        multiply(dh, go_t, out=dc)
+        multiply(dc, tcp_t, out=dc)
+        add(dc, carry_c, out=dc)
+        for d_k, x_t, s_t in ((d[0], gg_t, si_t), (d[1], cp_t, sf_t), (d[3], gi_t, sg_t)):
+            multiply(dc, x_t, out=d_k)
+            multiply(d_k, s_t, out=d_k)
+        multiply(dh, tc_t, out=d[2])
+        multiply(d[2], so_t, out=d[2])
+        multiply(dc, gf_t, out=carry_c)
+        matmul(wt, da_t, out=carry)
+    da = da[..., 0]
+    dab = member_major(da)
+    g_w = np.matmul(dab.swapaxes(1, 2), hb[:, :-1])
+    g_u = np.matmul(dab.swapaxes(1, 2), xb)
     g_b = da.sum(axis=0)
     out: dict[str, np.ndarray] = {}
     for k, gate in enumerate("ifog"):
         sl = slice(k * n_h, (k + 1) * n_h)
-        out[f"w_{gate}"] = g_w[sl]
-        out[f"u_{gate}"] = g_u[sl]
-        out[f"b_{gate}"] = g_b[sl]
+        out[f"w_{gate}"] = g_w[:, sl]
+        out[f"u_{gate}"] = g_u[:, sl]
+        out[f"b_{gate}"] = g_b[:, sl]
     out["theta_out"] = g_out
     return out
+
+
+def lstm_window_gradient(
+    x, d, pred, h, c, gates, params, mode: str, loss_kind: str, weights: np.ndarray
+) -> tuple[dict[str, np.ndarray], list[str | None]]:
+    """Loss-weighted window gradients of B LSTM runs in lockstep.
+
+    The window is time-major, as an LSTM ActivationTape holds it: inputs x
+    (m, B, n_x), targets d and recorded predictions pred (m, B), the anchor
+    plus recorded states h and cells c (m + 1, B, n_h), and the recorded
+    gates (i, f, o, g), each (m, B, n_h). params are (B, ...) stacks keyed
+    like param_blocks. Replay mode re-runs the window from h[0] and c[0] and
+    reads only those of the recorded activations; cached mode uses them all.
+    Returns the gradient stacks and, per member, the first non-finite
+    quantity (states, cells, then the gradient blocks in order) or None.
+    """
+    xb = member_major(x)
+    w, u, b = lstm_stacks(params)
+    theta = params["theta_out"]
+    if mode == "replay":
+        h, c, gi, gf, go, gg, tc = lstm_forward(xb, h[0], c[0], w, u, b)
+    else:
+        gi, gf, go, gg = gates
+        tc = np.tanh(c[1:])
+    hb = member_major(h)
+    preds = predictions(hb[:, 1:], theta, loss_kind) if mode == "replay" else member_major(pred)
+    resid_w = (preds - member_major(d)) * weights
+    grads = _lstm_backward(w, theta, hb, c[:-1], gi, gf, go, gg, tc, xb, resid_w)
+    states = [("hidden state", h.swapaxes(0, 1)), ("cell state", c.swapaxes(0, 1))]
+    return grads, first_failures((states if mode == "replay" else []) + _gradient_checks(grads))
+
+
+def window_gradient(tape: ActivationTape, params, family, mode: str, loss_kind: str, weights):
+    """Loss-weighted window gradients of every run on the tape, through the
+    kernel of the family of the parameters `family`: params are (B, ...)
+    stacks keyed like param_blocks. Returns (grads, failed) as the family
+    kernels do."""
+    if isinstance(family, LstmParams):
+        return lstm_window_gradient(
+            tape.x, tape.d, tape.pred, tape.h, _cells(tape), tape.gates, params, mode, loss_kind,
+            weights,
+        )
+    if not isinstance(family, (SrnnParams, CwrnnParams)):
+        raise TypeError(f"unknown parameter type {type(family).__name__}")
+    return elman_window_gradient(
+        tape.x, tape.d, tape.pred, tape.h, tape.ts, params["w"], params["u"],
+        params["theta_out"], mode, loss_kind, weights, family,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +422,9 @@ def _smoothed_loss(tape: ActivationTape, params, loss_kind: str) -> float:
         h = elman_forward(member_major(tape.x), tape.h[0][..., None], w, params.u[None], active)
         h = h[:, 0, :, 0]
     elif isinstance(params, LstmParams):
-        x, h_rec, c_rec = _lstm_window(tape)
-        h = lstm_forward(x, h_rec[0], c_rec[0], params)[0]
+        blocks = {name: a[None] for name, a in param_blocks(params)}
+        h = lstm_forward(member_major(tape.x), tape.h[0], _cells(tape)[0], *lstm_stacks(blocks))
+        h = h[0][:, 0]
     else:
         raise TypeError(f"unknown parameter type {type(params).__name__}")
     preds = predictions(h[1:], params.theta_out, loss_kind)
@@ -406,35 +455,12 @@ def instant_gradient(
 
 
 def _tape_gradient(tape: ActivationTape, params, mode: str, loss_kind: str, weights: np.ndarray):
-    if isinstance(params, (SrnnParams, CwrnnParams)):
-        return _elman_tape_gradient(tape, params, mode, loss_kind, weights)
-    if not isinstance(params, LstmParams):
-        raise TypeError(f"unknown parameter type {type(params).__name__}")
-    if mode == "replay":
-        grads = _lstm_replay_gradient(tape, params, loss_kind, weights)
-    else:
-        grads = _lstm_cached_gradient(tape, params, weights)
-    for name, g in grads.items():
-        _check_finite(g, tape.t, f"gradient block {name!r}")
-    return grads
-
-
-def _lstm_replay_gradient(tape: ActivationTape, params: LstmParams, loss_kind: str, weights):
-    x, h_rec, c_rec = _lstm_window(tape)
-    h, c, gi, gf, go, gg, tc = lstm_forward(x, h_rec[0], c_rec[0], params)
-    _check_finite(h, tape.t, "hidden state")
-    _check_finite(c, tape.t, "cell state")
-    preds = predictions(h[1:], params.theta_out, loss_kind)
-    resid_w = (preds - tape.d[:, 0]) * weights
-    return _lstm_backward(params, h, c[:-1], gi, gf, go, gg, tc, x, resid_w)
-
-
-def _lstm_cached_gradient(tape: ActivationTape, params: LstmParams, weights: np.ndarray):
-    x, h_rec, c_rec = _lstm_window(tape)
-    resid_w = (tape.pred[:, 0] - tape.d[:, 0]) * weights
-    gi, gf, go, gg = (a[:, 0] for a in tape.gates)
-    tc = np.tanh(c_rec[1:])
-    return _lstm_backward(params, h_rec, c_rec[:-1], gi, gf, go, gg, tc, x, resid_w)
+    # The B = 1 case of window_gradient, for one tape.
+    blocks = {name: a[None] for name, a in param_blocks(params)}
+    grads, failed = window_gradient(tape, blocks, params, mode, loss_kind, weights)
+    if failed[0] is not None:
+        raise NumericOverflowError(tape.t, failed[0])
+    return {name: g[0] for name, g in grads.items()}
 
 
 def fd_gradient(

@@ -1,10 +1,9 @@
 """Experiment harness: config parsing, the online training loops, grid search,
 multi-seed aggregation, and CSV emission.
 
-There are two loops. run_batch trains the seeds of any wogd config in
-lockstep, regret, smoothness and gradient-bound instrumentation included;
-run_single runs one seed of the first-order baselines, and a wogd seed as the
-one-seed batch.
+There is one online loop: run_batch trains the seeds of any config in
+lockstep, every model and optimizer, regret, smoothness and gradient-bound
+instrumentation included. run_single is its one-seed batch.
 
 Config files are flat ``key = value`` text ('#' starts a comment), versioned
 with a ``schema_version`` key. Recognized keys:
@@ -31,7 +30,8 @@ with a ``schema_version`` key. Recognized keys:
   out_radius       wogd output-weight l2 bound, default 2.5
   gradient_mode    replay | cached, default replay
   learning_rate    baseline learning rate
-  tbptt_depth      baseline backprop depth, default = window (or 200)
+  tbptt_depth      baseline backprop depth, default = window (or 200);
+                   wogd rejects it (its depth is window)
   seeds            evaluation seeds, e.g. 1,2,3 (default 1..eval_runs)
   tuning_runs      seeds used per grid point, default 10
   eval_runs        default evaluation seed count, default 30
@@ -68,7 +68,7 @@ from .gradients import (
     ActivationTape,
     NumericOverflowError,
     elman_window_gradient,
-    instant_gradient,
+    window_gradient,
 )
 from .linalg import spectral_norm
 from .models import replace_blocks
@@ -160,8 +160,6 @@ class ExperimentConfig:
 
     @property
     def tape_depth(self) -> int:
-        if self.optimizer == "wogd":
-            return self.window
         return self.tbptt_depth if self.tbptt_depth > 0 else self.window
 
     def eval_seeds(self) -> tuple[int, ...]:
@@ -274,6 +272,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append("init_std must be >= 0")
     if cfg.tbptt_depth < 0:
         p.append("tbptt_depth must be >= 0 (0: use window)")
+    elif cfg.optimizer == "wogd" and cfg.tbptt_depth > 0:
+        p.append("tbptt_depth applies to the baselines; wogd backpropagates through its window")
     elif cfg.optimizer != "wogd" and cfg.tape_depth < 1:
         p.append("window must be >= 1 (the tape depth when tbptt_depth = 0)")
     if cfg.task == "binary_add":
@@ -310,17 +310,19 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.seeds and len(set(cfg.seeds)) != len(cfg.seeds):
         p.append("seeds must be distinct")
     try:
-        if cfg.optimizer == "wogd":
-            WogdConfig(
-                eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
-                out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
-                mode=cfg.gradient_mode,
-            )
-        else:
-            BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
+        _optimizer(cfg)
     except ValueError as exc:
         p.append(str(exc))
     return p
+
+
+def _optimizer(cfg: ExperimentConfig) -> WogdConfig | BaselineConfig:
+    if cfg.optimizer == "wogd":
+        return WogdConfig(
+            eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
+            out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius, mode=cfg.gradient_mode,
+        )
+    return BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -440,60 +442,13 @@ def _gradient_bound_check(params, grads, cfg: ExperimentConfig, t: int) -> None:
 _quiet_divergence = np.errstate(over="ignore", invalid="ignore")
 
 
-@_quiet_divergence
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
-    """The online loop (predict, observe, update) of one seed.
-
-    A wogd config runs as the one-seed batch of run_batch, and a diverging
-    run raises its own NumericOverflowError. The first-order baselines
-    (sgd, rmsprop, adam) run here.
-    """
-    if cfg.optimizer == "wogd":
-        try:
-            return run_batch(cfg, [seed])[0]
-        except DivergedSeedsError as exc:
-            raise exc.diverged[seed] from None
-    loss_kind = cfg.loss_kind
-    rng_init, rng_data = (
-        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
-    )
-    stream = _Streams(cfg, [rng_data])
-    params = _build_params(cfg, stream.n_x, rng_init)
-    state = models.zero_state(params)
-    tape = ActivationTape(cfg.tape_depth, state.h, stream.n_x, state.c)
-    bcfg = BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
-
-    binary = cfg.task == "binary_add"
-    losses = np.empty(stream.total)
-    sustainable_t = None
-    consec = 0
-    started = time.perf_counter()
-
-    for t in range(1, stream.total + 1):
-        x_t, d_t = stream.at(t)
-        x, d = x_t[0], float(d_t[0])
-        new_state, gates = models.step_model(params, state, x)
-        pred = models.readout(params, new_state, loss_kind)
-        loss_val, _ = tasks.loss_and_residual(pred, d, loss_kind)
-        tape.push(x, d, pred, new_state.h, gates)
-        params = baseline_step(bcfg, params, instant_gradient(tape, params, loss_kind), t)
-
-        if loss_kind == tasks.LOSS_SQUARED:
-            r = pred - d
-            losses[t - 1] = r * r
-        else:
-            losses[t - 1] = loss_val
-
-        if binary:
-            consec = consec + 1 if (pred > 0.5) == (d > 0.5) else 0
-            if consec >= cfg.horizon:
-                sustainable_t = t - cfg.horizon + 1
-                losses = losses[:t]
-                break
-
-        state = new_state
-
-    return _result(cfg, seed, time.perf_counter() - started, losses, sustainable_t)
+    """The online loop (predict, observe, update) of one seed: the one-seed
+    batch of run_batch. A diverging run raises its own NumericOverflowError."""
+    try:
+        return run_batch(cfg, [seed])[0]
+    except DivergedSeedsError as exc:
+        raise exc.diverged[seed] from None
 
 
 def _paired_windows(tape: ActivationTape, x_next: np.ndarray, d_next: np.ndarray):
@@ -517,17 +472,20 @@ def _paired_windows(tape: ActivationTape, x_next: np.ndarray, d_next: np.ndarray
 
 @_quiet_divergence
 def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
-    """Train the seeds of one srnn/cwrnn-wogd config in lockstep; one seed is
-    the B = 1 batch.
+    """Train the seeds of one config in lockstep, whatever its model and
+    optimizer; one seed is the B = 1 batch.
 
-    Each member keeps its own generators, stream, parameters, window and
-    regret ledger; only the numpy calls are shared (stacked parameters, one
-    ActivationTape with a member axis, the batched Elman kernel). So every
-    field of a result except runtime_s is bit for bit the same whichever
-    seeds share the batch. runtime_s is the batch's wall time over the number
-    of seeds.
+    Each member keeps its own generators, stream, parameters, window,
+    optimizer moments and regret ledger; only the numpy calls are shared
+    (parameters as (B, ...) stacks keyed like param_blocks, one
+    ActivationTape with a member axis, the batched kernels). So every field
+    of a result except runtime_s is bit for bit the same whichever seeds share
+    the batch. runtime_s is the batch's wall time over the number of seeds.
 
-    Instrumentation runs per member on every regret_every-th step: the
+    The first-order baselines (sgd, rmsprop, adam) backpropagate the newest
+    loss through the recorded activations of the last tape_depth steps and
+    update every block. WOGD descends the window's mean loss; its
+    instrumentation runs per member on every regret_every-th step: the
     closed-form gradient ceiling (an AssertionError when violated), the
     projected-gradient regret entry before the update and, after it, the
     smoothness probe, which replays the window at the new hidden weights and
@@ -544,8 +502,6 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     order).
     """
     seeds = tuple(seeds)
-    if cfg.optimizer != "wogd" or cfg.model == "lstm":
-        raise ConfigError(f"run_batch trains srnn/cwrnn-wogd configs, got {cfg.label}")
     if not seeds:
         return []
     loss_kind = cfg.loss_kind
@@ -556,18 +512,20 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     stream = _Streams(cfg, [r[1] for r in rngs])
     total, n_x = stream.total, stream.n_x
     binary = cfg.task == "binary_add"
+    lstm = cfg.model == "lstm"
+    wogd = cfg.optimizer == "wogd"
 
     members = [_build_params(cfg, n_x, r[0]) for r in rngs]
     template = members[0]
-    w = np.stack([p.w for p in members])
-    u = np.stack([p.u for p in members])
-    theta = np.stack([p.theta_out for p in members])
-    tape = ActivationTape(cfg.window, np.zeros((len(seeds), cfg.n_h)), n_x)
-    wcfg = WogdConfig(
-        eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
-        out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
-        mode=cfg.gradient_mode,
-    )
+    params = {  # block name -> (B, ...) stack
+        name: np.stack([getattr(p, name) for p in members])
+        for name, _ in models.param_blocks(template)
+    }
+    zeros = np.zeros((len(seeds), cfg.n_h))
+    tape = ActivationTape(cfg.tape_depth, zeros, n_x, zeros if lstm else None)
+    opt = _optimizer(cfg)
+    mode = cfg.gradient_mode if wogd else "cached"
+    moments: dict = {}  # (moment, block) -> (B, ...) stack, for rmsprop and adam
     instrumented = cfg.record_regret or cfg.record_smoothness
     ledgers = [  # by seed position
         analysis.RegretLedger(eta=cfg.eta, w=cfg.window, lam=cfg.lam, n_h=cfg.n_h, n_x=n_x)
@@ -589,59 +547,70 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         x_t, d_t = stream.at(t)
 
         # the online step: the m = 1 case of the kernels the replay runs
-        w_now, active = models.clockwork(w, template, [t])
-        h_new = models.elman_forward(x_t[:, None], tape.state[..., None], w_now, u, active)
-        h_new = h_new[1, :, :, 0]
-        pred = models.predictions(h_new[:, None], theta, loss_kind)[:, 0]
-        tape.push(x_t, d_t, pred, h_new)
+        h_new, gates = models.online_step(
+            template, params, x_t, tape.state, tape.c[-1] if lstm else None, t
+        )
+        pred = models.predictions(h_new[:, None], params["theta_out"], loss_kind)[:, 0]
+        tape.push(x_t, d_t, pred, h_new, gates)
 
         m = len(tape)
-        weights = np.full(m, 1.0 / m)
-        window = (tape.x, tape.d, tape.pred, tape.h, tape.ts)
+        if wogd:
+            weights = np.full(m, 1.0 / m)
+        else:  # the newest loss only
+            weights = np.zeros(m)
+            weights[-1] = 1.0
         if pending is None:
-            grads, failed = elman_window_gradient(
-                *window, w, u, theta, wcfg.mode, loss_kind, weights, template
-            )
+            grads, failed = window_gradient(tape, params, template, mode, loss_kind, weights)
         else:
             (grads, failed), pending = pending, None
+        leaving = []
+        if not wogd:  # the baselines update every member at once
+            params, bad = baseline_step(opt, params, grads, moments, t)
+            for b, what in enumerate(failed):
+                if what or bad[b]:
+                    diverged[int(order[b])] = NumericOverflowError(t, what or bad[b])
+                    leaving.append(b)
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         probing = sampled and cfg.record_smoothness
         if probing:
-            before = w.copy(), u.copy(), theta.copy()
-        leaving = []
-        for b in range(len(order)):
+            before = {k: a.copy() for k, a in params.items()}
+        for b in range(len(order)) if wogd else ():  # WOGD, member by member
             try:
                 if failed[b] is not None:
                     raise NumericOverflowError(t, failed[b])
-                member = replace_blocks(template, {"w": w[b], "u": u[b], "theta_out": theta[b]})
+                member = replace_blocks(template, {k: a[b] for k, a in params.items()})
                 grads_b = {k: g[b] for k, g in grads.items()}
                 if cfg.check_gradient_bounds:
                     _gradient_bound_check(member, grads_b, cfg, t)
                 if sampled:
-                    ledgers[order[b]].record_regret(projected_gradient(member, grads_b, wcfg))
-                new, triggered = wogd_step(wcfg, member, grads_b, t)
+                    ledgers[order[b]].record_regret(projected_gradient(member, grads_b, opt))
+                new, triggered = wogd_step(opt, member, grads_b, t)
             except NumericOverflowError as exc:
                 diverged[int(order[b])] = exc
                 leaving.append(b)
                 continue
-            w[b], u[b], theta[b] = new.w, new.u, new.theta_out
+            for k, a in params.items():
+                a[b] = getattr(new, k)
             projections[b] += triggered
 
         if probing:
             # the same windowed loss at (new w, new u, old theta_out)
+            w, u, theta = params["w"], params["u"], params["theta_out"]
             if m == cfg.window and t < total:
                 # members B..2B-1: step t + 1's replay at (new w, new u, new theta_out)
                 batch = len(order)
                 both, failed = elman_window_gradient(
                     *_paired_windows(tape, *stream.at(t + 1)),
                     np.concatenate([w, w]), np.concatenate([u, u]),
-                    np.concatenate([before[2], theta]), "replay", loss_kind, weights, template,
+                    np.concatenate([before["theta_out"], theta]), "replay", loss_kind, weights,
+                    template,
                 )
                 after = {k: g[:batch] for k, g in both.items()}
                 pending = {k: g[batch:] for k, g in both.items()}, failed[batch:]
             else:
-                after, failed = elman_window_gradient(
-                    *window, w, u, before[2], "replay", loss_kind, weights, template
+                after, failed = window_gradient(
+                    tape, {**params, "theta_out": before["theta_out"]}, template, "replay",
+                    loss_kind, weights,
                 )
             for b in range(len(order)):
                 if b in leaving:
@@ -653,7 +622,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                 ledgers[order[b]].record_smoothness(analysis.estimate_smoothness(
                     {k: g[b] for k, g in grads.items()},
                     {k: g[b] for k, g in after.items()},
-                    replace_blocks(template, {"w": before[0][b], "u": before[1][b]}),
+                    replace_blocks(template, {"w": before["w"][b], "u": before["u"][b]}),
                     replace_blocks(template, {"w": w[b], "u": u[b]}),
                 ))
 
@@ -684,7 +653,9 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             if not keep:
                 break
             order, projections, consec = order[keep], projections[keep], consec[keep]
-            w, u, theta, losses = w[keep], u[keep], theta[keep], losses[:, keep]
+            params = {k: a[keep] for k, a in params.items()}
+            moments = {k: a[keep] for k, a in moments.items()}
+            losses = losses[:, keep]
             tape.keep(keep)
             stream.keep(keep)
             if pending is not None:
@@ -706,40 +677,26 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
 def _run_seeds(cfg: ExperimentConfig, seeds: tuple[int, ...]):
     """The results of the seeds that finished and the error of each seed
-    that diverged, in seed order: one lockstep batch for a wogd config, else
-    one run per seed."""
-    if cfg.optimizer == "wogd":
-        try:
-            return run_batch(cfg, seeds), {}
-        except DivergedSeedsError as exc:
-            return exc.results, exc.diverged
-    results, diverged = [], {}
-    for s in seeds:
-        try:
-            results.append(run_single(cfg, s))
-        except NumericOverflowError as exc:
-            diverged[s] = exc
-    return results, diverged
+    that diverged, in seed order, from one lockstep batch."""
+    try:
+        return run_batch(cfg, seeds), {}
+    except DivergedSeedsError as exc:
+        return exc.results, exc.diverged
 
 
 def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunResult]:
     """Independent (config, seed) runs; the result order follows the seed list.
 
-    A wogd config, instrumented or not, trains its seeds in lockstep with
-    run_batch; with workers > 1, the seed list is split into that many
-    contiguous chunks, one batch per worker process. The baselines (and so
-    every LSTM) run run_single per seed, spread over the worker processes one
-    seed at a time. Either way, every field of a result except runtime_s is
+    Every config trains its seeds in lockstep with run_batch; with
+    workers > 1, the seed list is split into that many contiguous chunks, one
+    batch per worker process. Every field of a result except runtime_s is
     bitwise the run_single result of its seed. A diverged seed does not stop
     the others: when any diverges, a DivergedSeedsError carries the results
     of those that finished.
     """
     seeds = tuple(seeds) if seeds is not None else cfg.eval_seeds()
-    if cfg.optimizer == "wogd":
-        k = max(1, min(workers, len(seeds)))
-        parts = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
-    else:
-        parts = [(s,) for s in seeds]
+    k = max(1, min(workers, len(seeds)))
+    parts = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
     if workers > 1 and len(parts) > 1:
         # imported here: the pool machinery takes about a tenth of `import wogd`
         import multiprocessing
@@ -762,8 +719,8 @@ def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
     flagged. Ties break toward the smaller rate. Returns (best, rows) where
     rows are (rate, mean_mse or None, note).
 
-    The tuning seeds of one rate run as one run_batch for a wogd config,
-    else one run_single per seed; the means are the same.
+    The tuning seeds of one rate run as one run_batch (eta for wogd, the
+    learning rate for the baselines); the means are those of run_single.
     """
     grid = tuple(grid)
     if not grid:

@@ -5,13 +5,13 @@ hidden state in [-1, 1]^n_h, a linear readout theta_out (optionally squashed
 through a sigmoid for binary targets), and an optional bias handled by
 appending a constant 1.0 to the input vector (so n_x counts that dimension).
 
-Each family has one forward kernel over a window of m steps:
+Each family has one forward kernel over a window of m steps of B runs:
 ``elman_forward`` (SRNN, and the clockwork RNN through ``clockwork``) and
 ``lstm_forward``; ``predictions`` is the one readout. The online step
-``step_model`` is the m = 1 case of its family's kernel and ``readout`` the
-m = 1 case of ``predictions``, so the online loop and the replay of a window
-run the same recurrence. Parameters and states are treated as immutable
-values; every step returns a fresh state.
+``online_step`` is the m = 1 case of its family's kernel, ``step_model`` its
+one-run case and ``readout`` the m = 1 case of ``predictions``, so the online
+loop and the replay of a window run the same recurrence. Parameters and
+states are treated as immutable values; every step returns a fresh state.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class LstmGates:
-    """Per-step gate activations cached for backpropagation."""
+    """Per-step gate activations cached for backpropagation: (n_h,) arrays
+    for one run, (B, n_h) for B runs."""
 
     i: np.ndarray
     f: np.ndarray
@@ -250,45 +251,46 @@ def elman_forward(
     return h
 
 
-def lstm_stacks(p: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recurrent (4 n_h, n_h) and input (4 n_h, n_x) matrices and biases
-    (4 n_h,) of the gates stacked in the order i, f, o, g."""
-    w = np.vstack([p.w_i, p.w_f, p.w_o, p.w_g])
-    u = np.vstack([p.u_i, p.u_f, p.u_o, p.u_g])
-    b = np.concatenate([p.b_i, p.b_f, p.b_o, p.b_g])
-    return w, u, b
+def lstm_stacks(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recurrent (..., 4 n_h, n_h) and input (..., 4 n_h, n_x) matrices and
+    biases (..., 4 n_h) of the gates stacked in the order i, f, o, g, from
+    LSTM blocks keyed like param_blocks: one run's or (B, ...) stacks."""
+    return tuple(
+        np.concatenate([blocks[f"{k}_{gate}"] for gate in "ifog"], axis=-1 if k == "b" else -2)
+        for k in "wub"
+    )
 
 
-def lstm_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray, p: LstmParams):
-    """Run the LSTM over the inputs x (m, n_x) from the state h0 and cell c0.
+def lstm_forward(
+    xb: np.ndarray, h0: np.ndarray, c0: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
+):
+    """Run the LSTM over the member-major inputs xb (B|1, m, n_x) from the
+    states h0 and cells c0 (B, n_h), with the gate stacks w (B, 4 n_h, n_h),
+    u (B, 4 n_h, n_x) and b (B, 4 n_h) of lstm_stacks.
 
-    Returns the states h and cells c (m + 1, n_h), with h[0] = h0 and
-    c[0] = c0, and per step the gates i, f, o, g and tanh(c_t), (m, n_h).
+    Returns the states h and cells c (m + 1, B, n_h), with h[0] = h0 and
+    c[0] = c0, and per step the gates i, f, o, g and tanh(c_t), (m, B, n_h).
     """
-    m, n_h = x.shape[0], p.n_h
-    wst, ust, bst = lstm_stacks(p)
-    # One matrix-vector product per step, as for a single step, so a window
-    # runs the same arithmetic as its steps one at a time.
-    uxb = np.matmul(ust, x[..., None])[..., 0] + bst
-    h = np.empty((m + 1, n_h))
-    c = np.empty((m + 1, n_h))
+    m, n_h = xb.shape[1], h0.shape[1]
+    # One matrix-vector product per member and step, as for a single step,
+    # so a window runs the same arithmetic as its steps one at a time.
+    uxb = (np.matmul(u[:, None], xb[..., None])[..., 0] + b[:, None]).swapaxes(0, 1)
+    h = np.empty((m + 1,) + h0.shape)
+    c = np.empty((m + 1,) + h0.shape)
     h[0] = h0
     c[0] = c0
-    gi = np.empty((m, n_h))
-    gf = np.empty((m, n_h))
-    go = np.empty((m, n_h))
-    gg = np.empty((m, n_h))
-    tc = np.empty((m, n_h))
+    act = np.empty((m,) + uxb.shape[1:])
+    gi, gf, go, gg = (act[..., k * n_h : (k + 1) * n_h] for k in range(4))
+    tc = np.empty((m,) + h0.shape)
     for i in range(m):
-        a = wst @ h[i] + uxb[i]
-        sig = sigmoid(a[: 3 * n_h])
-        gi[i] = sig[:n_h]
-        gf[i] = sig[n_h : 2 * n_h]
-        go[i] = sig[2 * n_h :]
-        gg[i] = np.tanh(a[3 * n_h :])
-        c[i + 1] = gf[i] * c[i] + gi[i] * gg[i]
-        tc[i] = np.tanh(c[i + 1])
-        h[i + 1] = go[i] * tc[i]
+        a = np.matmul(w, h[i][..., None])[..., 0]
+        a += uxb[i]
+        act[i, :, : 3 * n_h] = sigmoid(a[:, : 3 * n_h])
+        np.tanh(a[:, 3 * n_h :], out=gg[i])
+        np.multiply(gf[i], c[i], out=c[i + 1])
+        c[i + 1] += gi[i] * gg[i]
+        np.tanh(c[i + 1], out=tc[i])
+        np.multiply(go[i], tc[i], out=h[i + 1])
     return h, c, gi, gf, go, gg, tc
 
 
@@ -299,24 +301,37 @@ def predictions(h: np.ndarray, theta: np.ndarray, loss_kind: str) -> np.ndarray:
     return sigmoid(z) if loss_kind == LOSS_CROSS_ENTROPY else z
 
 
+def online_step(family, blocks, x: np.ndarray, h: np.ndarray, c: np.ndarray | None, t: int):
+    """One online step at timestep t of B runs of the family of the
+    parameters `family`, the m = 1 case of elman_forward or lstm_forward:
+    blocks are (B, ...) stacks keyed like param_blocks, inputs x (B|1, n_x),
+    states h and, for the LSTM, cells c (B, n_h). Returns the new states
+    (B, n_h) and, for the LSTM, the step's gates as (B, n_h) arrays."""
+    if isinstance(family, LstmParams):
+        h, c, i, f, o, g, _ = lstm_forward(x[:, None], h, c, *lstm_stacks(blocks))
+        return h[1], LstmGates(i=i[0], f=f[0], o=o[0], g=g[0], c_new=c[1])
+    if not isinstance(family, (SrnnParams, CwrnnParams)):
+        raise TypeError(f"unknown parameter type {type(family).__name__}")
+    w, active = clockwork(blocks["w"], family, [t])
+    return elman_forward(x[:, None], h[..., None], w, blocks["u"], active)[1, :, :, 0], None
+
+
 def step_model(params, s: HiddenState, x: np.ndarray) -> tuple[HiddenState, LstmGates | None]:
     """One online step from state s on input x at timestep s.t + 1, the
-    m = 1 case of elman_forward or lstm_forward; returns the new state and,
-    for the LSTM, the step's gates."""
+    B = 1 case of online_step; returns the new state and, for the LSTM, the
+    step's gates."""
     x = np.asarray(x, dtype=np.float64)
     _check_vec("x", x, params.n_x)
     _check_vec("h", s.h, params.n_h)
-    if isinstance(params, LstmParams):
-        if s.c is None:
-            raise ValueError("LSTM state requires a cell vector c")
-        h, c, i, f, o, g, _ = lstm_forward(x[None], s.h, s.c, params)
-        gates = LstmGates(i=i[0], f=f[0], o=o[0], g=g[0], c_new=c[1])
-        return HiddenState(h=h[1], t=s.t + 1, c=c[1]), gates
-    if not isinstance(params, (SrnnParams, CwrnnParams)):
-        raise TypeError(f"unknown parameter type {type(params).__name__}")
-    w, active = clockwork(params.w[None], params, [s.t + 1])
-    h = elman_forward(x[None, None], s.h[None, :, None], w, params.u[None], active)
-    return HiddenState(h=h[1, 0, :, 0], t=s.t + 1), None
+    lstm = isinstance(params, LstmParams)
+    if lstm and s.c is None:
+        raise ValueError("LSTM state requires a cell vector c")
+    blocks = {name: a[None] for name, a in param_blocks(params)}
+    h, gates = online_step(params, blocks, x[None], s.h[None], s.c[None] if lstm else None, s.t + 1)
+    if gates is None:
+        return HiddenState(h=h[0], t=s.t + 1), None
+    gates = LstmGates(*(getattr(gates, f.name)[0] for f in dataclasses.fields(gates)))
+    return HiddenState(h=h[0], t=s.t + 1, c=gates.c_new), gates
 
 
 def readout(params, s: HiddenState, loss_kind: str) -> float:

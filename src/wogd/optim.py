@@ -15,13 +15,13 @@ update path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import GRADIENT_MODES, NumericOverflowError
+from .gradients import GRADIENT_MODES, NumericOverflowError, first_failures
 from .linalg import clip_singular_values, project_l2_ball
-from .models import CwrnnParams, SrnnParams, param_blocks, replace_blocks
+from .models import CwrnnParams, SrnnParams, replace_blocks
 
 __all__ = [
     "WogdConfig",
@@ -121,11 +121,7 @@ def projected_gradient(params, grads: dict[str, np.ndarray], cfg: WogdConfig) ->
 
 @dataclass
 class BaselineConfig:
-    """First-order baseline: plain SGD, RMSprop, or Adam (bias-corrected).
-
-    Moment accumulators live on the config and belong to a single training
-    run; they are created at the first step and keyed by parameter block.
-    """
+    """First-order baseline: plain SGD, RMSprop, or Adam (bias-corrected)."""
 
     kind: str
     learning_rate: float
@@ -133,8 +129,6 @@ class BaselineConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    m: dict = field(default_factory=dict, repr=False)
-    v: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
@@ -142,42 +136,38 @@ class BaselineConfig:
         if not self.learning_rate > 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
 
-    def reset(self):
-        self.m.clear()
-        self.v.clear()
 
-
-def baseline_step(cfg: BaselineConfig, params, grads: dict[str, np.ndarray], t: int):
+def baseline_step(
+    cfg: BaselineConfig,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    moments: dict,
+    t: int,
+) -> tuple[dict[str, np.ndarray], list[str | None]]:
     """One unconstrained update of every parameter block (including the
-    readout). t counts from 1 and drives Adam's bias correction."""
+    readout) of B runs, elementwise over the (B, ...) stacks of params and
+    grads keyed like param_blocks. moments holds the runs' RMSprop/Adam
+    averages as stacks keyed (moment, block); it starts empty and is updated
+    in place. t counts from 1 and drives Adam's bias correction.
+
+    Returns the new stacks and, per run, the first block whose update is
+    non-finite (or None).
+    """
     if t < 1:
         raise ValueError(f"timestep must be >= 1, got {t}")
-    new_blocks: dict[str, np.ndarray] = {}
-    for name, arr in param_blocks(params):
+    new: dict[str, np.ndarray] = {}
+    for name, arr in params.items():
         g = grads[name]
         if cfg.kind == "sgd":
-            upd = arr - cfg.learning_rate * g
-        elif cfg.kind == "rmsprop":
-            cache = cfg.v.get(name)
-            if cache is None:
-                cache = np.zeros_like(arr)
-            cache = cfg.rmsprop_decay * cache + (1.0 - cfg.rmsprop_decay) * g * g
-            cfg.v[name] = cache
-            upd = arr - cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
-        else:  # adam
-            m = cfg.m.get(name)
-            v = cfg.v.get(name)
-            if m is None:
-                m = np.zeros_like(arr)
-                v = np.zeros_like(arr)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            cfg.m[name] = m
-            cfg.v[name] = v
-            m_hat = m / (1.0 - cfg.beta1**t)
-            v_hat = v / (1.0 - cfg.beta2**t)
-            upd = arr - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if not np.isfinite(upd).all():
-            raise NumericOverflowError(t, f"update of block {name!r}")
-        new_blocks[name] = upd
-    return replace_blocks(params, new_blocks)
+            new[name] = arr - cfg.learning_rate * g
+            continue
+        decay = cfg.rmsprop_decay if cfg.kind == "rmsprop" else cfg.beta2
+        v = moments["v", name] = decay * moments.get(("v", name), 0.0) + (1.0 - decay) * g * g
+        if cfg.kind == "rmsprop":
+            new[name] = arr - cfg.learning_rate * g / (np.sqrt(v) + cfg.epsilon)
+            continue
+        m = moments["m", name] = cfg.beta1 * moments.get(("m", name), 0.0) + (1.0 - cfg.beta1) * g
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        new[name] = arr - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return new, first_failures([(f"update of block {name!r}", a) for name, a in new.items()])

@@ -13,6 +13,7 @@ from wogd.gradients import (
     elman_window_gradient,
     fd_gradient,
     instant_gradient,
+    lstm_window_gradient,
     smoothed_loss,
     tbptt_gradient,
 )
@@ -20,6 +21,10 @@ from wogd.models import (
     HiddenState,
     LstmGates,
     SrnnParams,
+    lstm_forward,
+    lstm_stacks,
+    member_major,
+    param_blocks,
     random_cwrnn,
     random_lstm,
     random_srnn,
@@ -96,7 +101,7 @@ class TestTape:
         np.testing.assert_array_equal(tape.h, full.h[1:])
         np.testing.assert_array_equal(tape.x, full.x[1:])
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(
         capacity=st.integers(1, 6),
         batch=st.integers(1, 3),
@@ -179,8 +184,10 @@ class TestTape:
         with pytest.raises(ValueError, match="one-run"):
             tbptt_gradient(tape, random_srnn(2, 2, 0.3, rng))
         lstm = random_lstm(2, 2, 0.3, rng)
-        with pytest.raises(ValueError, match="anchor cell"):
-            tbptt_gradient(drive(random_srnn(2, 2, 0.3, rng), 3, rng), lstm)
+        elman_tape = drive(random_srnn(2, 2, 0.3, rng), 3, rng)
+        for operation in (tbptt_gradient, smoothed_loss):
+            with pytest.raises(ValueError, match="anchor cell"):
+                operation(elman_tape, lstm)
 
 
 class TestSmoothedLoss:
@@ -368,7 +375,7 @@ class TestGradientNormBound:
 class TestLockstepKernel:
     """The batched Elman kernel against its B = 1 case and the FD oracle."""
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=40)
     @given(
         batch=st.integers(1, 4),
         m=st.integers(1, 30),
@@ -415,3 +422,45 @@ class TestLockstepKernel:
         if mode == "replay":
             g = tbptt_gradient(tapes[0], members[0], "replay", kind)
             assert max_rel_err(g, fd_gradient(tapes[0], members[0], 1e-6, kind)) <= 1e-5
+
+    @settings(max_examples=40)
+    @given(
+        batch=st.integers(1, 4),
+        m=st.integers(1, 30),
+        n_h=st.integers(1, 8),
+        n_x=st.integers(1, 4),
+        kind=st.sampled_from([LOSS_SQUARED, LOSS_CROSS_ENTROPY]),
+        mode=st.sampled_from(["replay", "cached"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lstm_members_equal_single_tape(self, batch, m, n_h, n_x, kind, mode, seed):
+        # The member-axis LSTM forward and backward give each member the bits
+        # of its own one-member tape.
+        rng = np.random.default_rng(seed)
+        members, tapes = [], []
+        for _ in range(batch):
+            p = random_lstm(n_h, n_x, 0.4, rng)
+            extra = int(rng.integers(0, 4))
+            tapes.append(drive(p, m + extra, rng, kind, capacity=m))
+            members.append(replace_blocks(p, {"w_f": p.w_f * 0.9, "theta_out": p.theta_out + 0.1}))
+        x, d, pred, h, c = (
+            np.concatenate([getattr(t, name) for t in tapes], axis=1)
+            for name in ("x", "d", "pred", "h", "c")
+        )
+        gates = tuple(np.concatenate(g, axis=1) for g in zip(*(t.gates for t in tapes)))
+        params = {
+            name: np.stack([getattr(p, name) for p in members])
+            for name, _ in param_blocks(members[0])
+        }
+        forward = lstm_forward(member_major(x), h[0], c[0], *lstm_stacks(params))
+        grads, failed = lstm_window_gradient(
+            x, d, pred, h, c, gates, params, mode, kind, np.full(m, 1.0 / m)
+        )
+        assert failed == [None] * batch
+        for b, (p, tape) in enumerate(zip(members, tapes)):
+            blocks = {name: a[None] for name, a in param_blocks(p)}
+            alone = lstm_forward(member_major(tape.x), tape.h[0], tape.c[0], *lstm_stacks(blocks))
+            for got, want in zip(forward, alone):
+                assert np.array_equal(got[:, b], want[:, 0])
+            for name, g in tbptt_gradient(tape, p, mode, kind).items():
+                assert np.array_equal(grads[name][b], g), name

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wogd import harness, models, tasks
+from wogd import gradients, harness, models, tasks
 from wogd.analysis import RegretLedger, estimate_smoothness
 from wogd.cli import main as cli_main
-from wogd.gradients import ActivationTape, NumericOverflowError, tbptt_gradient
+from wogd.gradients import ActivationTape, NumericOverflowError, instant_gradient, tbptt_gradient
 from wogd.harness import (
     ConfigError,
     DivergedSeedsError,
@@ -28,7 +28,7 @@ from wogd.harness import (
     run_many,
     run_single,
 )
-from wogd.optim import WogdConfig, projected_gradient, wogd_step
+from wogd.optim import BaselineConfig, WogdConfig, baseline_step, projected_gradient, wogd_step
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture_regression.csv")
 
@@ -117,9 +117,11 @@ class TestConfigParsing:
             ({"optimizer": "sgd", "check_gradient_bounds": "true"},
              "check_gradient_bounds requires the wogd optimizer"),
             ({"regret_every": "3"}, "regret_every > 1 requires record_regret or record_smoothness"),
+            ({"tbptt_depth": "5"}, "tbptt_depth applies to the baselines"),
         ],
         ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative",
-             "gradient-bounds-without-wogd", "regret-every-without-recording"],
+             "gradient-bounds-without-wogd", "regret-every-without-recording",
+             "tbptt-depth-with-wogd"],
     )
     def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
         raw = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
@@ -221,6 +223,10 @@ def _synthetic(**over):
 
 
 INSTRUMENTED = dict(record_regret=True, record_smoothness=True)
+SGD = dict(optimizer="sgd", learning_rate=0.05, window=10)
+RMSPROP_CWRNN = dict(model="cwrnn", n_h=6, periods=(1, 2, 4), optimizer="rmsprop",
+                     learning_rate=0.01, tbptt_depth=8)
+LSTM_ADAM = dict(model="lstm", optimizer="adam", learning_rate=0.01, tbptt_depth=8)
 
 # name -> (config, how the batched side runs, data patch or None)
 BATCH_CASES = {
@@ -266,6 +272,21 @@ BATCH_CASES = {
         _synthetic(model="cwrnn", n_h=6, periods=(1, 2, 4), features=2, **INSTRUMENTED),
         run_batch, None,
     ),
+    # the first-order baselines and the LSTM train in the same loop
+    "srnn-sgd": (_synthetic(**SGD), run_batch, None),
+    "cwrnn-rmsprop": (_synthetic(**RMSPROP_CWRNN, features=2), run_batch, None),
+    "lstm-adam": (_synthetic(**LSTM_ADAM), run_batch, None),
+    "lstm-adam-csv": (fixture_cfg(**LSTM_ADAM), run_batch, None),
+    "lstm-sgd-binary-add": (
+        ExperimentConfig(task="binary_add", model="lstm", n_h=8, optimizer="sgd",
+                         learning_rate=0.5, window=10, horizon=12, cutoff=700),
+        run_batch, None,
+    ),
+    "lstm-run-many-workers-2": (
+        _synthetic(**LSTM_ADAM), lambda cfg, s: run_many(cfg, s, workers=2), None,
+    ),
+    "diverging-baseline-members": (_synthetic(**SGD), run_batch, {2: 30, 4: 10}),
+    "diverging-lstm-members": (_synthetic(**LSTM_ADAM), run_batch, {2: 30, 4: 10}),
 }
 
 
@@ -314,15 +335,17 @@ class TestRunBatch:
             assert_same_runs(run_batch(cfg, [seed]), [got[k]])
         if case == "alpha-0":
             assert all(r.projection_count > 0 for r in got)
-        if case in ("binary-add", "instrumented-binary-add"):
+        if case in ("binary-add", "instrumented-binary-add", "lstm-sgd-binary-add"):
             assert len({r.steps for r in got}) > 1  # members leave at different t
 
     @pytest.mark.parametrize(
         "over",
         [{}, INSTRUMENTED, dict(INSTRUMENTED, regret_every=3),
          dict(INSTRUMENTED, model="cwrnn", n_h=6, periods=(1, 2, 4)),
-         dict(record_regret=True, gradient_mode="cached", window=10, alpha=0.0)],
-        ids=["plain", "instrumented", "every-3", "cwrnn", "cached-alpha-0"],
+         dict(record_regret=True, gradient_mode="cached", window=10, alpha=0.0),
+         SGD, RMSPROP_CWRNN, LSTM_ADAM],
+        ids=["plain", "instrumented", "every-3", "cwrnn", "cached-alpha-0",
+             "srnn-sgd", "cwrnn-rmsprop", "lstm-adam"],
     )
     def test_matches_reference_loop(self, over):
         cfg = _synthetic(**over)
@@ -359,7 +382,10 @@ class TestRunBatch:
             calls.append(args[0].shape[1])
             return real(*args)
 
+        # run_batch calls the kernel itself for the paired call and through
+        # gradients.window_gradient otherwise
         monkeypatch.setattr(harness, "elman_window_gradient", counting)
+        monkeypatch.setattr(gradients, "elman_window_gradient", counting)
         run_batch(_synthetic(**INSTRUMENTED), (1,))
         # 60 steps, window 20: steps 1-19 replay and probe apart (38 calls),
         # step 20 replays alone, steps 20-59 probe together with the next
@@ -367,16 +393,15 @@ class TestRunBatch:
         assert len(calls) == 80
         assert calls.count(2) == 40
 
-    def test_rejects_non_wogd_configs(self):
-        with pytest.raises(ConfigError):
-            run_batch(_synthetic(optimizer="sgd", learning_rate=0.01), (1,))
+    def test_empty_seed_list(self):
         assert run_batch(_synthetic(), ()) == []
 
 
 def _reference_run(cfg, seed):
-    """One synthetic-task WOGD run written out step by step with the one-run
-    API: the online loop that run_batch must reproduce bit for bit. Returns
-    the loss curve, the projection count and the regret ledger (or None)."""
+    """One synthetic-task run written out step by step with the one-run API:
+    the online loop that run_batch must reproduce bit for bit, for WOGD and
+    for the first-order baselines. Returns the loss curve, the projection
+    count and the regret ledger (or None)."""
     rng_init, rng_data = (
         np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2)
     )
@@ -384,21 +409,37 @@ def _reference_run(cfg, seed):
     n_x = xs.shape[1]
     if cfg.model == "cwrnn":
         params = models.random_cwrnn(cfg.n_h, n_x, cfg.periods, cfg.init_std, rng_init)
+    elif cfg.model == "lstm":
+        params = models.random_lstm(cfg.n_h, n_x, cfg.init_std, rng_init)
     else:
         params = models.random_srnn(cfg.n_h, n_x, cfg.init_std, rng_init)
+    wogd = cfg.optimizer == "wogd"
     wcfg = WogdConfig(
         eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
         out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius, mode=cfg.gradient_mode,
     )
+    bcfg = None if wogd else BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
+    moments = {}
     instrumented = cfg.record_regret or cfg.record_smoothness
     ledger = RegretLedger(cfg.eta, cfg.window, cfg.lam, cfg.n_h, n_x) if instrumented else None
     state = models.zero_state(params)
-    tape = ActivationTape(cfg.window, state.h, n_x)
+    tape = ActivationTape(cfg.tbptt_depth or cfg.window, state.h, n_x, state.c)
     losses, projections = [], 0
     for t, (x, d) in enumerate(zip(xs, ds), start=1):
-        state, _ = models.step_model(params, state, x)
+        state, gates = models.step_model(params, state, x)
         pred = models.readout(params, state, cfg.loss_kind)
-        tape.push(x, d, pred, state.h)
+        tape.push(x, d, pred, state.h, gates)
+        r = pred - d
+        losses.append(r * r)
+        if not wogd:
+            grads = instant_gradient(tape, params, cfg.loss_kind)
+            new, failed = baseline_step(
+                bcfg, {k: a[None] for k, a in models.param_blocks(params)},
+                {k: g[None] for k, g in grads.items()}, moments, t,
+            )
+            assert failed == [None]
+            params = models.replace_blocks(params, {k: a[0] for k, a in new.items()})
+            continue
         grads = tbptt_gradient(tape, params, cfg.gradient_mode, cfg.loss_kind)
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         if sampled:
@@ -410,8 +451,6 @@ def _reference_run(cfg, seed):
             after = tbptt_gradient(tape, probe, "replay", cfg.loss_kind)
             ledger.record_smoothness(estimate_smoothness(grads, after, params, probe))
         params = new
-        r = pred - d
-        losses.append(r * r)
     return np.cumsum(losses) / np.arange(1, len(losses) + 1), projections, ledger
 
 

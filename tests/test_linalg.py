@@ -265,7 +265,7 @@ def clip_cases(draw, shape=None):
     return m, lam if lam > 0 else 1.0
 
 
-PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+PROPERTY = settings(max_examples=300)
 
 
 class TestClipProperties:
@@ -289,7 +289,7 @@ class TestClipProperties:
         if np.linalg.svd(clipped, full_matrices=False)[1][0] <= lam:
             assert np.array_equal(again, clipped)
 
-    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=6)
     @given(case=clip_cases(shape=(2, 2)))
     def test_never_farther_than_grid_oracle(self, case):
         m, lam = case

@@ -17,7 +17,9 @@ from wogd.models import (
     clockwork,
     elman_forward,
     lstm_forward,
+    lstm_stacks,
     member_major,
+    param_blocks,
     random_cwrnn,
     random_lstm,
     random_srnn,
@@ -277,7 +279,7 @@ class TestOnlineStepIsWindowCase:
     """step_model is the m = 1 case of its family's window kernel: chaining
     it m times replays the window the gradients replay."""
 
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=80)
     @given(
         arch=st.sampled_from(["srnn", "cwrnn"]),
         batch=st.integers(1, 3),
@@ -316,7 +318,7 @@ class TestOnlineStepIsWindowCase:
                     eps = np.finfo(np.float64).eps
                     np.testing.assert_allclose(state.h, window, rtol=0, atol=64 * m * eps)
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(
         m=st.integers(1, 20),
         n_h=st.integers(1, 6),
@@ -328,18 +330,19 @@ class TestOnlineStepIsWindowCase:
         p = random_lstm(n_h, n_x, 0.4, rng)
         x = rng.uniform(-1.0, 1.0, (m, n_x))
         h0, c0 = rng.uniform(-1.0, 1.0, n_h), rng.normal(size=n_h)
-        h, c, gi, gf, go, gg, _ = lstm_forward(x, h0, c0, p)
+        blocks = {name: a[None] for name, a in param_blocks(p)}
+        h, c, gi, gf, go, gg, _ = lstm_forward(x[None], h0[None], c0[None], *lstm_stacks(blocks))
         state = HiddenState(h=h0, t=0, c=c0)
         for i in range(m):
             state, gates = step_model(p, state, x[i])
             pairs = [
-                (state.h, h[i + 1]), (state.c, c[i + 1]), (gates.c_new, c[i + 1]),
-                (gates.i, gi[i]), (gates.f, gf[i]), (gates.o, go[i]), (gates.g, gg[i]),
+                (state.h, h[i + 1, 0]), (state.c, c[i + 1, 0]), (gates.c_new, c[i + 1, 0]),
+                (gates.i, gi[i, 0]), (gates.f, gf[i, 0]), (gates.o, go[i, 0]), (gates.g, gg[i, 0]),
             ]
             for got, window in pairs:
                 assert np.array_equal(got, window)
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
     def test_sigmoid_bounds_and_symmetry(self, z):
         z = np.array(z)

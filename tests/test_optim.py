@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogd.gradients import NumericOverflowError
 from wogd.linalg import clip_singular_values, spectral_norm
-from wogd.models import param_blocks, random_lstm, random_srnn
+from wogd.models import SrnnParams, param_blocks, random_lstm, random_srnn, replace_blocks
 from wogd.optim import (
     BaselineConfig,
     WogdConfig,
@@ -27,6 +29,17 @@ def srnn_grads(rng, n_h=3, n_x=2, scale=1.0):
 
 def zero_grads(p):
     return {name: np.zeros_like(arr) for name, arr in param_blocks(p)}
+
+
+def one_run_step(cfg, p, g, t, moments=None):
+    """baseline_step on the one-run stacks of p and g (B = 1)."""
+    new, failed = baseline_step(
+        cfg, {name: arr[None] for name, arr in param_blocks(p)},
+        {name: arr[None] for name, arr in g.items()},
+        {} if moments is None else moments, t,
+    )
+    assert failed == [None]
+    return replace_blocks(p, {name: arr[0] for name, arr in new.items()})
 
 
 class TestWogdStep:
@@ -51,7 +64,7 @@ class TestWogdStep:
         q, triggered = wogd_step(cfg, p, g, t=4)
         assert triggered == 0
         sgd = BaselineConfig(kind="sgd", learning_rate=eta)
-        ref = baseline_step(sgd, p, g, t=4)
+        ref = one_run_step(sgd, p, g, t=4)
         np.testing.assert_allclose(q.w, ref.w, atol=1e-12)
         np.testing.assert_allclose(q.u, ref.u, atol=1e-12)
         np.testing.assert_allclose(q.theta_out, p.theta_out - (1.0 / 2.0) * g["theta_out"], atol=1e-12)
@@ -112,6 +125,29 @@ class TestWogdStep:
             WogdConfig(eta=0.1, window=5, lam=1.0)
         WogdConfig(eta=0.1, window=5, alpha=0.0)  # always-project variant is legal
 
+    @settings(max_examples=200)
+    @given(
+        n_h=st.integers(1, 6),
+        n_x=st.integers(1, 4),
+        t=st.integers(1, 10**6),
+        out_lr_scale=st.floats(1e-3, 1e3),
+        out_radius=st.floats(1e-3, 10.0),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_weights_stay_in_ball(self, n_h, n_x, t, out_lr_scale, out_radius, scale, seed):
+        rng = np.random.default_rng(seed)
+        p = SrnnParams(
+            w=rng.normal(size=(n_h, n_h)), u=rng.normal(size=(n_h, n_x)),
+            theta_out=rng.normal(0.0, out_radius, n_h),
+        )
+        g = srnn_grads(rng, n_h, n_x, scale)
+        cfg = WogdConfig(eta=0.05, window=5, out_lr_scale=out_lr_scale, out_radius=out_radius)
+        q, _ = wogd_step(cfg, p, g, t)
+        # The projection scales by radius / norm in floating point, so the
+        # computed norm may land up to two ulps (relative) past the radius.
+        assert np.linalg.norm(q.theta_out) <= out_radius * (1.0 + 4.0 * np.finfo(float).eps)
+
     def test_determinism(self):
         rng = np.random.default_rng(7)
         p = random_srnn(3, 2, 0.1, rng)
@@ -129,7 +165,7 @@ class TestBaselineStep:
         p = random_srnn(3, 2, 0.1, rng)
         g = srnn_grads(rng)
         cfg = BaselineConfig(kind="sgd", learning_rate=0.1)
-        q = baseline_step(cfg, p, g, t=1)
+        q = one_run_step(cfg, p, g, t=1)
         np.testing.assert_allclose(q.w, p.w - 0.1 * g["w"], atol=1e-15)
         np.testing.assert_allclose(q.theta_out, p.theta_out - 0.1 * g["theta_out"], atol=1e-15)
 
@@ -142,7 +178,7 @@ class TestBaselineStep:
         p = random_srnn(1, 1, 0.0, np.random.default_rng(0))
         g = {"w": np.array([[g0]]), "u": np.zeros((1, 1)), "theta_out": np.zeros(1)}
         cfg = BaselineConfig(kind="adam", learning_rate=lr)
-        q = baseline_step(cfg, p, g, t=1)
+        q = one_run_step(cfg, p, g, t=1)
         expected = -lr * g0 / (abs(g0) + eps)
         assert q.w[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -152,11 +188,12 @@ class TestBaselineStep:
         cfg = BaselineConfig(kind="adam", learning_rate=lr)
         p = random_srnn(1, 1, 0.0, np.random.default_rng(0))
         grads_seq = [0.5, -0.2, 0.8, 0.1]
+        moments = {}
         m = v = 0.0
         x_ref = 0.0
         for t, g0 in enumerate(grads_seq, start=1):
             g = {"w": np.array([[g0]]), "u": np.zeros((1, 1)), "theta_out": np.zeros(1)}
-            p = baseline_step(cfg, p, g, t=t)
+            p = one_run_step(cfg, p, g, t, moments)
             m = b1 * m + (1 - b1) * g0
             v = b2 * v + (1 - b2) * g0 * g0
             x_ref -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
@@ -169,13 +206,12 @@ class TestBaselineStep:
         cfg = BaselineConfig(kind="rmsprop", learning_rate=lr)
         p = random_srnn(1, 1, 0.0, np.random.default_rng(0))
         g = {"w": np.array([[0.25]]), "u": np.zeros((1, 1)), "theta_out": np.zeros(1)}
-        prev = p.w[0, 0]
+        moments = {}
         for t in range(1, 400):
-            p = baseline_step(cfg, p, g, t=t)
-        step = prev - p.w[0, 0]
+            p = one_run_step(cfg, p, g, t, moments)
         # after many steps each increment is ~lr
         last = p.w[0, 0]
-        p = baseline_step(cfg, p, g, t=400)
+        p = one_run_step(cfg, p, g, 400, moments)
         assert last - p.w[0, 0] == pytest.approx(lr, rel=1e-3)
 
     def test_lstm_blocks_all_updated(self):
@@ -183,9 +219,35 @@ class TestBaselineStep:
         p = random_lstm(2, 2, 0.1, rng)
         g = {name: np.ones_like(arr) for name, arr in param_blocks(p)}
         cfg = BaselineConfig(kind="sgd", learning_rate=0.5)
-        q = baseline_step(cfg, p, g, t=1)
+        q = one_run_step(cfg, p, g, t=1)
         for name, arr in param_blocks(p):
             np.testing.assert_allclose(getattr(q, name), arr - 0.5, atol=1e-15)
+
+    def test_members_update_apart(self):
+        # Stacked runs update elementwise, each with its own moments, as each
+        # run does alone; a run whose update is non-finite is reported with
+        # its first failing block.
+        rng = np.random.default_rng(10)
+        runs = [random_lstm(2, 3, 0.1, rng) for _ in range(3)]
+        grads = [{name: rng.normal(size=arr.shape) for name, arr in param_blocks(p)} for p in runs]
+        grads[1]["u_f"][0, 0] = np.inf
+        grads[1]["theta_out"][0] = np.nan
+        for kind in ("sgd", "rmsprop", "adam"):
+            cfg = BaselineConfig(kind=kind, learning_rate=0.01)
+            stacks = {name: np.stack([getattr(p, name) for p in runs]) for name, _ in param_blocks(runs[0])}
+            g = {name: np.stack([gr[name] for gr in grads]) for name in stacks}
+            moments, alone, alone_moments = {}, [runs[0], runs[2]], [{}, {}]
+            for t in (1, 2, 3):
+                with np.errstate(invalid="ignore"):
+                    stacks, failed = baseline_step(cfg, stacks, g, moments, t)
+                assert failed == [None, "update of block 'u_f'", None]
+                alone = [
+                    one_run_step(cfg, p, grads[b], t, mom)
+                    for p, b, mom in zip(alone, (0, 2), alone_moments)
+                ]
+                for p, b in zip(alone, (0, 2)):
+                    for name, arr in param_blocks(p):
+                        assert np.array_equal(stacks[name][b], arr), (kind, t, name)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
