@@ -161,7 +161,9 @@ class ActivationTape:
 
     def keep(self, members) -> None:
         """Drop every member not listed, by batch position."""
-        self._buf = {name: a[:, members] for name, a in self._buf.items()}
+        # take, not a[:, members]: that copy is laid out member-major, so
+        # every window would be a strided view.
+        self._buf = {name: a.take(members, axis=1) for name, a in self._buf.items()}
 
 
 def _window_length(tape: ActivationTape) -> int:
@@ -206,11 +208,12 @@ def _elman_backward(
     residuals resid_w (B, m). The states come time-major (h) for the loop
     and member-major (hb (B, m + 1, n_h)) for the sums over time, next to
     the member-major inputs xb. `active` (m, B|1, n_h), boolean, routes
-    copied units through an identity Jacobian (clockwork case). Returns
-    (B, ...) stacks."""
+    copied units through an identity Jacobian (clockwork case). The loop
+    steps through dh and deltas, both C-contiguous and time-major,
+    (m, B, n_h, 1). Returns (B, ...) stacks."""
     g_out = np.matmul(resid_w[:, None, :], hb[:, 1:])[:, 0]
     # dh_t = theta r_t + carry, accumulated in place, newest step first.
-    dh = (resid_w.T[:, :, None] * theta[None, :, :])[..., None]
+    dh = np.multiply(resid_w.T[:, :, None], theta, order="C")[..., None]
     tanhp = 1.0 - h[1:] * h[1:]
     inactive = [None] * len(tanhp)
     if active is not None:
@@ -305,11 +308,12 @@ def _lstm_backward(w, theta, hb, c_prev, gi, gf, go, gg, tc, xb, resid_w) -> dic
     readouts theta (B, n_h) given loss-weighted residuals resid_w (B, m). The
     previous cells c_prev, gates and tanh(c_t) tc come time-major (m, B, n_h)
     for the loop, the states hb (B, m + 1, n_h) and inputs xb (B, m, n_x)
-    member-major for the sums over time. Returns (B, ...) stacks keyed like
-    param_blocks."""
+    member-major for the sums over time. The loop steps through the readout
+    terms rv_t = theta r_t, C-contiguous and time-major (m, B, n_h). Returns
+    (B, ...) stacks keyed like param_blocks."""
     n_h = theta.shape[1]
     g_out = np.matmul(resid_w[:, None, :], hb[:, 1:])[:, 0]
-    rv = resid_w.T[:, :, None] * theta[None, :, :]
+    rv = np.multiply(resid_w.T[:, :, None], theta, order="C")
     si = gi * (1.0 - gi)
     sf = gf * (1.0 - gf)
     so = go * (1.0 - go)

@@ -279,6 +279,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.task == "binary_add":
         if cfg.n_sequences not in (2, 3):
             p.append("n_sequences must be 2 or 3")
+        if cfg.horizon < 1:
+            p.append("horizon must be >= 1")
         if cfg.loss and cfg.loss != tasks.LOSS_CROSS_ENTROPY:
             p.append("binary_add task uses the cross_entropy loss")
     else:
@@ -307,6 +309,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append("check_gradient_bounds requires the wogd optimizer")
     if cfg.check_gradient_bounds and (cfg.model != "srnn" or cfg.loss_kind != tasks.LOSS_SQUARED):
         p.append("check_gradient_bounds supports srnn with squared loss")
+    if cfg.tuning_runs < 1 or cfg.eval_runs < 1:
+        p.append("tuning_runs and eval_runs must be >= 1")
     if cfg.seeds and len(set(cfg.seeds)) != len(cfg.seeds):
         p.append("seeds must be distinct")
     try:
@@ -692,8 +696,10 @@ def run_many(cfg: ExperimentConfig, seeds=None, workers: int = 1) -> list[RunRes
     batch per worker process. Every field of a result except runtime_s is
     bitwise the run_single result of its seed. A diverged seed does not stop
     the others: when any diverges, a DivergedSeedsError carries the results
-    of those that finished.
+    of those that finished. A worker count below 1 is a ConfigError.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     seeds = tuple(seeds) if seeds is not None else cfg.eval_seeds()
     k = max(1, min(workers, len(seeds)))
     parts = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]

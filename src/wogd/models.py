@@ -195,12 +195,17 @@ def member_major(a: np.ndarray) -> np.ndarray:
 # Elman kernel (SRNN and CWRNN; the clockwork adds a mask and a schedule)
 #
 # One kernel serves one run (B = 1) and B runs trained in lockstep, over one
-# step (the online step) or a window (the replay). States are time-major,
-# (m + 1, B, n_h, 1), so every step of the loop works on one contiguous
-# (B, n_h, 1) block. Parameters are stacked member-first: w (B, n_h, n_h),
-# u (B, n_h, n_x). Every product is a per-member BLAS call on a slice laid
-# out as in the one-run case, so a member's numbers do not depend on the
-# batch it runs in.
+# step (the online step) or a window (the replay). Every array that a loop
+# of this kernel or of its backward pass in ``gradients`` steps through, and
+# every out= buffer it writes, is C-contiguous and time-major: the states
+# (m + 1, B, n_h, 1), the pre-activations and the backward's dh and deltas
+# (m, B, n_h, 1). So each step works on one contiguous (B, n_h, 1) block; a
+# strided block sends numpy's ufuncs down their slow path. Parameters are
+# stacked member-first: w (B, n_h, n_h), u (B, n_h, n_x). Every product is a
+# per-member BLAS call on a slice laid out as in the one-run case, so a
+# member's numbers do not depend on the batch it runs in. The backward's
+# transpose of w stays a view: a contiguous copy sends BLAS down another
+# matrix-vector kernel, whose sums round differently.
 # ---------------------------------------------------------------------------
 
 
@@ -274,7 +279,7 @@ def lstm_forward(
     m, n_h = xb.shape[1], h0.shape[1]
     # One matrix-vector product per member and step, as for a single step,
     # so a window runs the same arithmetic as its steps one at a time.
-    uxb = (np.matmul(u[:, None], xb[..., None])[..., 0] + b[:, None]).swapaxes(0, 1)
+    uxb = np.add(np.matmul(u[:, None], xb[..., None])[..., 0].swapaxes(0, 1), b, order="C")
     h = np.empty((m + 1,) + h0.shape)
     c = np.empty((m + 1,) + h0.shape)
     h[0] = h0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wogd import gradients, models
 from wogd.gradients import (
     ActivationTape,
     NumericOverflowError,
@@ -16,7 +17,9 @@ from wogd.gradients import (
     lstm_window_gradient,
     smoothed_loss,
     tbptt_gradient,
+    window_gradient,
 )
+from wogd.harness import ExperimentConfig, run_batch
 from wogd.models import (
     HiddenState,
     LstmGates,
@@ -464,3 +467,96 @@ class TestLockstepKernel:
                 assert np.array_equal(got[:, b], want[:, 0])
             for name, g in tbptt_gradient(tape, p, mode, kind).items():
                 assert np.array_equal(grads[name][b], g), name
+
+
+class _RecordingNumpy:
+    """Stands in for numpy in a kernel module: records the array operands of
+    every call passed out= (and of every copyto), then makes the call."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if not callable(f) or isinstance(f, type):
+            return f
+
+        def recorded(*args, **kwargs):
+            if "out" in kwargs or name == "copyto":
+                operands = args + tuple(kwargs.get(k) for k in ("out", "where"))
+                self._calls.append([a for a in operands if isinstance(a, np.ndarray)])
+            return f(*args, **kwargs)
+
+        return recorded
+
+
+class TestLoopLayout:
+    """Every per-step block a kernel loop steps through, and every out=
+    buffer it writes, is C-contiguous: a strided block takes numpy's slow
+    path. The loop-invariant recurrent matrices (w, and its transposed view
+    in the backward) are exempt, like the LSTM's gate columns of a
+    contiguous (B, 4 n_h) step block."""
+
+    N_H, N_X = 4, 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module in (gradients, models):
+            monkeypatch.setattr(module, "np", _RecordingNumpy(calls))
+        return calls
+
+    def strided(self, calls, gate_columns=False):
+        """The recorded operands that break the rule, by shape and strides."""
+        bad = []
+        for operands in calls:
+            for a in operands:
+                n, k = self.N_H, a.itemsize
+                matrix = a.ndim == 3 and a.shape[1:] in ((n, n), (n, 4 * n), (4 * n, n))
+                gate = gate_columns and a.ndim == 2 and a.strides == (4 * n * k, k)
+                if not (a.flags.c_contiguous or matrix or gate):
+                    bad.append((a.shape, a.strides))
+        return bad
+
+    def batch_tape(self, batch, m, rng, lstm=False):
+        h0 = np.zeros((batch, self.N_H))
+        tape = ActivationTape(m, h0, self.N_X, h0 if lstm else None)
+        for _ in range(m + 2):  # two steps evicted: the anchor moves
+            gates = None
+            if lstm:
+                gates = LstmGates(*rng.uniform(0.1, 0.9, (5, batch, self.N_H)))
+            tape.push(rng.normal(size=(batch, self.N_X)), rng.normal(size=batch),
+                      rng.normal(size=batch), rng.uniform(-0.9, 0.9, (batch, self.N_H)), gates)
+        return tape
+
+    @pytest.mark.parametrize("mode", ["replay", "cached"])
+    @pytest.mark.parametrize("arch", ["srnn", "cwrnn", "lstm"])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_window_kernels(self, batch, arch, mode, calls):
+        # the tape as it is, then with a member dropped, as a batch drops one
+        rng = np.random.default_rng(batch)
+        family = MAKERS[arch](self.N_H, self.N_X, rng)
+        tape = self.batch_tape(batch, 7, rng, lstm=arch == "lstm")
+        params = {name: np.stack([a] * batch) for name, a in param_blocks(family)}
+        weights = np.full(7, 1.0 / 7)
+        window_gradient(tape, params, family, mode, LOSS_SQUARED, weights)
+        kept = [b for b in range(batch) if b != 1]
+        tape.keep(kept)
+        params = {name: a[kept] for name, a in params.items()}
+        window_gradient(tape, params, family, mode, LOSS_SQUARED, weights)
+        assert calls
+        assert self.strided(calls, gate_columns=arch == "lstm") == []
+
+    @pytest.mark.parametrize("arch", ["srnn", "cwrnn"])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_lockstep_loop_with_paired_probe(self, batch, arch, calls):
+        # the online steps, the replays and the smoothness probe's paired
+        # 2B-member call of run_batch
+        cfg = ExperimentConfig(
+            task="synthetic", features=self.N_X - 1, steps=12, model=arch, n_h=self.N_H,
+            periods=(1, 2), optimizer="wogd", window=5, record_regret=True,
+            record_smoothness=True,
+        )
+        run_batch(cfg, range(1, batch + 1))
+        assert any(a.shape[:1] == (2 * batch,) for operands in calls for a in operands)
+        assert self.strided(calls) == []

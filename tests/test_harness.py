@@ -118,10 +118,15 @@ class TestConfigParsing:
              "check_gradient_bounds requires the wogd optimizer"),
             ({"regret_every": "3"}, "regret_every > 1 requires record_regret or record_smoothness"),
             ({"tbptt_depth": "5"}, "tbptt_depth applies to the baselines"),
+            ({"task": "binary_add", "horizon": "0"}, "horizon must be >= 1"),
+            ({"task": "binary_add", "horizon": "-3"}, "horizon must be >= 1"),
+            ({"eval_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
+            ({"tuning_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
         ],
         ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative",
              "gradient-bounds-without-wogd", "regret-every-without-recording",
-             "tbptt-depth-with-wogd"],
+             "tbptt-depth-with-wogd", "horizon-0", "horizon-negative", "eval-runs-0",
+             "tuning-runs-0"],
     )
     def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
         raw = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
@@ -577,6 +582,14 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("schema_version = 1\ntask = csv\n")
         assert cli_main(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_worker_count_exit_code(self, workers, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out"))
+        assert cli_main(["run", "--config", str(cfg_path), "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_data_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
