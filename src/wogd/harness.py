@@ -421,8 +421,8 @@ class _Streams:
         """Drop every run not listed, by batch position."""
         if self.bits:
             self.bits = [self.bits[b] for b in members]
-        if self.x.shape[1] > 1:
-            self.x, self.d = self.x[:, members], self.d[:, members]
+        if self.x.shape[1] > 1:  # take, as in ActivationTape.keep: rows stay contiguous
+            self.x, self.d = self.x.take(members, axis=1), self.d.take(members, axis=1)
 
 
 def _gradient_bound_check(params, grads, cfg: ExperimentConfig, t: int) -> None:
@@ -659,7 +659,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             order, projections, consec = order[keep], projections[keep], consec[keep]
             params = {k: a[keep] for k, a in params.items()}
             moments = {k: a[keep] for k, a in moments.items()}
-            losses = losses[:, keep]
+            losses = losses.take(keep, axis=1)
             tape.keep(keep)
             stream.keep(keep)
             if pending is not None:

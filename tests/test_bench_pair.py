@@ -31,3 +31,27 @@ def test_summary_pairs_runs_in_order():
     assert (steps["pairs_won"], steps["pairs"]) == (4, 5)  # pair 1 lost
     # lower is better for setup_s, and a tie counts for neither side
     assert summary["setup_s"]["pairs_won"] == 3
+
+
+def test_checkout_tree_is_the_working_directory(tmp_path, monkeypatch):
+    # tracked edits and untracked files are measured, ignored ones are not,
+    # and the repository's own index is left as it was
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    git = bench_pair.git
+    git("init", "-q")
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "a.py").write_text("old\n")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base")
+    (repo / "a.py").write_text("new\n")
+    (repo / "b.py").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "x").write_text("ignored\n")
+    tree = bench_pair.checkout_tree(tmp_path)
+    assert git("diff", "--cached", "--name-only") == ""  # nothing staged
+    bench_pair.export(tree, tmp_path / "change")
+    got = sorted(p.name for p in (tmp_path / "change").iterdir())
+    assert got == [".gitignore", "a.py", "b.py"]
+    assert (tmp_path / "change" / "a.py").read_text() == "new\n"

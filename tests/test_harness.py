@@ -343,6 +343,16 @@ class TestRunBatch:
         if case in ("binary-add", "instrumented-binary-add", "lstm-sgd-binary-add"):
             assert len({r.steps for r in got}) > 1  # members leave at different t
 
+    @pytest.mark.parametrize("task", ["synthetic", "binary_add"])
+    def test_stream_rows_stay_contiguous_after_keep(self, task):
+        # the online step and the tape read x_t and d_t once a member has left
+        cfg = _synthetic(task=task, cutoff=50)
+        stream = harness._Streams(cfg, [np.random.default_rng(s) for s in (1, 2, 3)])
+        stream.at(1)
+        stream.keep([0, 2])
+        for t in (2, 3):
+            assert all(a.flags.c_contiguous for a in stream.at(t))
+
     @pytest.mark.parametrize(
         "over",
         [{}, INSTRUMENTED, dict(INSTRUMENTED, regret_every=3),

@@ -1,20 +1,23 @@
 """Paired benchmark runs: a parent revision against the checkout.
 
     python3 tools/bench_pair.py --parent REV --out BENCH_<n>.json
-        [--workload NAME ...] [--pairs 5] [--seconds 55]
 
-Run it from anywhere inside the repository. The parent revision is exported
-with ``git archive REV | tar -x`` into a temporary directory, and
-``perfbench/run.py`` then runs alternately in that tree and in the checkout
-(working tree, uncommitted changes included), one run per side per pair.
-The side that goes first alternates from pair to pair, so a drift in the
-host's load falls on both sides alike.
+Run it from anywhere inside the repository. Both sides are exported the same
+way into sibling temporary directories: the parent with ``git archive REV``,
+the checkout as the tree ``git write-tree`` makes of it (tracked changes and
+untracked files not ignored by .gitignore included, through a temporary
+index). ``perfbench/run.py`` then runs with its own defaults on every
+workload of BENCHMARK.json, alternately in the two trees, one run per side
+in each of 10 pairs. The side that goes first alternates from pair to pair,
+so a drift in the host's load falls on both sides alike.
 
-The output holds, per workload, every run (its end-to-end metrics,
-``correct``/``failed``, the benchmark's environment record, and the load
-average and CPU count seen just before it), and per end-to-end metric of
-BENCHMARK.json: the median and quartiles of each side, the change/parent
-ratio of the medians, and in how many pairs the change was better.
+The output names both trees (``git archive <change_tree>`` gives back the
+measured checkout; ``change_committed`` says whether it is HEAD's tree) and
+holds, per workload, every run (its end-to-end metrics, ``correct``/``failed``,
+the benchmark's environment record, and the load average and CPU count seen
+just before it), and per end-to-end metric of BENCHMARK.json: the median and
+quartiles of each side, the change/parent ratio of the medians, and in how
+many pairs the change was better.
 """
 
 from __future__ import annotations
@@ -31,16 +34,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def git(*args: str) -> str:
+def git(*args: str, env=None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
+
+
+def checkout_tree(scratch: Path) -> str:
+    """The id of the tree the working directory holds, untracked files not
+    ignored included; a copy of the index takes it, so the index is untouched."""
+    index = scratch / "index"
+    index.write_bytes((ROOT / git("rev-parse", "--git-path", "index")).read_bytes())
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    git("add", "--all", env=env)
+    return git("write-tree", env=env)
 
 
 def export(rev: str, dest: Path) -> None:
     """Write the tree of `rev` into dest, as `git archive rev | tar -x` does."""
+    dest.mkdir()
     archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
@@ -48,13 +63,13 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def bench_run(tree: Path, workload: str, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str) -> dict:
     """One perfbench run in `tree`: its result line, environment record and
     the host's state just before it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     host = {"loadavg": os.getloadavg(), "nproc": len(os.sched_getaffinity(0))}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", repr(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload],
         cwd=tree, capture_output=True, text=True, env=env,
     )
     lines = proc.stdout.strip().splitlines()
@@ -101,31 +116,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_<n>.json")
-    parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=55.0)
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.seconds <= 0:
-        parser.error("--pairs must be >= 2 and --seconds > 0")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    report = {
-        "parent_revision": git("rev-parse", args.parent),
-        "change_revision": git("rev-parse", "HEAD"),
-        "change_uncommitted": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "workloads": {},
-    }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
-        export(args.parent, trees["parent"])
-        for workload in workloads:
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        tmp = Path(tmp)
+        revs = {"parent": git("rev-parse", args.parent), "change": checkout_tree(tmp)}
+        report = {
+            "parent_revision": revs["parent"],
+            "change_revision": git("rev-parse", "HEAD"),
+            "change_tree": revs["change"],
+            "change_committed": revs["change"] == git("rev-parse", "HEAD^{tree}"),
+            "pairs": PAIRS,
+            "workloads": {},
+        }
+        trees = {side: tmp / side for side in SIDES}
+        for side in SIDES:
+            export(revs[side], trees[side])
+        for workload in (w["name"] for w in bench["workloads"]):
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    run = bench_run(trees[side], workload, args.seconds)
+                    run = bench_run(trees[side], workload)
                     runs[side].append(run)
                     print(f"{workload} pair {pair} {side}: {run['metrics']}", file=sys.stderr)
             report["workloads"][workload] = {
