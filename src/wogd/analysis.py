@@ -121,12 +121,7 @@ class RegretLedger:
     the normalized column divides by the sample count.
     """
 
-    def __init__(self, eta: float, w: int, lam: float, n_h: int, n_x: int):
-        self.eta = eta
-        self.w = w
-        self.lam = lam
-        self.n_h = n_h
-        self.n_x = n_x
+    def __init__(self):
         self.grad_sq_theta: list[float] = []
         self.grad_sq_mu: list[float] = []
         self.regret: list[float] = []  # running sum R(t)

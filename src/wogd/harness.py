@@ -65,6 +65,7 @@ import numpy as np
 
 from . import analysis, models, tasks
 from .gradients import (
+    GRADIENT_MODES,
     ActivationTape,
     NumericOverflowError,
     elman_window_gradient,
@@ -274,8 +275,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append("tbptt_depth must be >= 0 (0: use window)")
     elif cfg.optimizer == "wogd" and cfg.tbptt_depth > 0:
         p.append("tbptt_depth applies to the baselines; wogd backpropagates through its window")
-    elif cfg.optimizer != "wogd" and cfg.tape_depth < 1:
+    elif cfg.tape_depth < 1:
         p.append("window must be >= 1 (the tape depth when tbptt_depth = 0)")
+    if cfg.gradient_mode not in GRADIENT_MODES:
+        p.append(f"gradient_mode must be one of {GRADIENT_MODES}")
     if cfg.task == "binary_add":
         if cfg.n_sequences not in (2, 3):
             p.append("n_sequences must be 2 or 3")
@@ -323,8 +326,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
 def _optimizer(cfg: ExperimentConfig) -> WogdConfig | BaselineConfig:
     if cfg.optimizer == "wogd":
         return WogdConfig(
-            eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
-            out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius, mode=cfg.gradient_mode,
+            eta=cfg.eta, lam=cfg.lam, alpha=cfg.alpha,
+            out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
         )
     return BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
 
@@ -426,14 +429,15 @@ class _Streams:
 
 
 def _gradient_bound_check(params, grads, cfg: ExperimentConfig, t: int) -> None:
-    # Closed-form gradient ceiling; only binding while the spectral and
-    # output-norm preconditions hold at this step.
+    # Closed-form gradient ceiling of one run (blocks keyed like
+    # param_blocks); only binding while the spectral and output-norm
+    # preconditions hold at this step.
     lam = cfg.lam
-    if spectral_norm(params.w) > lam or spectral_norm(params.u) > lam:
+    if spectral_norm(params["w"]) > lam or spectral_norm(params["u"]) > lam:
         return
-    if np.linalg.norm(params.theta_out) > 1.0:
+    if np.linalg.norm(params["theta_out"]) > 1.0:
         return
-    n_h, n_x = params.n_h, params.n_x
+    n_h, n_x = params["u"].shape
     slack = 1e-9
     bound_w = 2.0 * math.sqrt(n_h) * math.sqrt(n_h) / (1.0 - lam)
     bound_u = 2.0 * math.sqrt(n_h) * math.sqrt(n_x) / (1.0 - lam)
@@ -531,11 +535,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     mode = cfg.gradient_mode if wogd else "cached"
     moments: dict = {}  # (moment, block) -> (B, ...) stack, for rmsprop and adam
     instrumented = cfg.record_regret or cfg.record_smoothness
-    ledgers = [  # by seed position
-        analysis.RegretLedger(eta=cfg.eta, w=cfg.window, lam=cfg.lam, n_h=cfg.n_h, n_x=n_x)
-        if instrumented else None
-        for _ in seeds
-    ]
+    ledgers = [analysis.RegretLedger() if instrumented else None for _ in seeds]  # by seed position
 
     order = np.arange(len(seeds))  # seed position of each batch member
     pending = None  # step t + 1's (grads, failed), replayed in step t's probe call
@@ -567,35 +567,30 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             grads, failed = window_gradient(tape, params, template, mode, loss_kind, weights)
         else:
             (grads, failed), pending = pending, None
-        leaving = []
-        if not wogd:  # the baselines update every member at once
-            params, bad = baseline_step(opt, params, grads, moments, t)
-            for b, what in enumerate(failed):
-                if what or bad[b]:
-                    diverged[int(order[b])] = NumericOverflowError(t, what or bad[b])
-                    leaving.append(b)
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         probing = sampled and cfg.record_smoothness
-        if probing:
-            before = {k: a.copy() for k, a in params.items()}
-        for b in range(len(order)) if wogd else ():  # WOGD, member by member
-            try:
-                if failed[b] is not None:
-                    raise NumericOverflowError(t, failed[b])
-                member = replace_blocks(template, {k: a[b] for k, a in params.items()})
-                grads_b = {k: g[b] for k, g in grads.items()}
-                if cfg.check_gradient_bounds:
-                    _gradient_bound_check(member, grads_b, cfg, t)
-                if sampled:
-                    ledgers[order[b]].record_regret(projected_gradient(member, grads_b, opt))
-                new, triggered = wogd_step(opt, member, grads_b, t)
-            except NumericOverflowError as exc:
-                diverged[int(order[b])] = exc
+        before = params  # both updates return new stacks
+        if wogd:  # instrumentation on the members whose gradient is finite
+            finite = [b for b, what in enumerate(failed) if what is None]
+            if cfg.check_gradient_bounds:
+                for b in finite:
+                    _gradient_bound_check(
+                        {k: a[b] for k, a in params.items()}, {k: g[b] for k, g in grads.items()},
+                        cfg, t,
+                    )
+            if sampled:
+                projected = projected_gradient(params, grads, opt)
+                for b in finite:
+                    ledgers[order[b]].record_regret({k: g[b] for k, g in projected.items()})
+            params, clips, bad = wogd_step(opt, template, params, grads, t)
+            projections += clips
+        else:
+            params, bad = baseline_step(opt, params, grads, moments, t)
+        leaving = []
+        for b, what in enumerate(failed):  # the kernel's failure, else the update's
+            if what or bad[b]:
+                diverged[int(order[b])] = NumericOverflowError(t, what or bad[b])
                 leaving.append(b)
-                continue
-            for k, a in params.items():
-                a[b] = getattr(new, k)
-            projections[b] += triggered
 
         if probing:
             # the same windowed loss at (new w, new u, old theta_out)
@@ -836,19 +831,18 @@ def emit_outputs(
     written: list[str] = []
 
     labels = [row.label for row in summary.rows]
-    spath = out / "summary.csv"
-    with open(spath, "w", encoding="utf-8") as fh:
-        fh.write(
-            "label,n_runs,mse_mean,mse_min,mse_max,mean_runtime_s,"
-            "projection_mean,sustainable_steps\n"
-        )
-        for row in summary.rows:
-            sust = ";".join("failed" if s is None else str(s) for s in row.sustainable)
-            fh.write(
-                f"{row.label},{row.n_runs},{row.mse_mean!r},{row.mse_min!r},"
-                f"{row.mse_max!r},{row.runtime_mean_s:.6f},{row.projection_mean!r},{sust}\n"
-            )
-    written.append(spath.name)
+    analysis.write_csv(
+        out / "summary.csv",
+        ["label", "n_runs", "mse_mean", "mse_min", "mse_max", "mean_runtime_s",
+         "projection_mean", "sustainable_steps"],
+        zip(*[
+            (row.label, row.n_runs, row.mse_mean, row.mse_min, row.mse_max,
+             f"{row.runtime_mean_s:.6f}", row.projection_mean,
+             ";".join("failed" if s is None else str(s) for s in row.sustainable))
+            for row in summary.rows
+        ]),
+    )
+    written.append("summary.csv")
 
     n = min(c.shape[0] for c in summary.curves.values())
     analysis.write_csv(
@@ -858,27 +852,19 @@ def emit_outputs(
     )
     written.append("curves.csv")
 
-    if summary.regret:
-        rlabels = list(summary.regret)
-        n = min(summary.regret[lab][0].shape[0] for lab in rlabels)
-        cols: list = [np.arange(1, n + 1)]
-        header = ["t"]
-        for lab in rlabels:
-            header += [f"{lab}:regret", f"{lab}:normalized_regret"]
-            cols += [summary.regret[lab][0][:n], summary.regret[lab][1][:n]]
-        analysis.write_csv(out / "regret.csv", header, cols)
-        written.append("regret.csv")
-
-    if summary.smoothness:
-        slabels = list(summary.smoothness)
-        n = min(summary.smoothness[lab][0].shape[0] for lab in slabels)
-        cols = [np.arange(1, n + 1)]
-        header = ["t"]
-        for lab in slabels:
-            header += [f"{lab}:beta_exp_mean", f"{lab}:beta_exp_max"]
-            cols += [summary.smoothness[lab][0][:n], summary.smoothness[lab][1][:n]]
-        analysis.write_csv(out / "smoothness.csv", header, cols)
-        written.append("smoothness.csv")
+    for name, channel, columns in (
+        ("regret.csv", summary.regret, ("regret", "normalized_regret")),
+        ("smoothness.csv", summary.smoothness, ("beta_exp_mean", "beta_exp_max")),
+    ):
+        if not channel:
+            continue
+        n = min(pair[0].shape[0] for pair in channel.values())
+        header, cols = ["t"], [np.arange(1, n + 1)]
+        for lab, pair in channel.items():
+            header += [f"{lab}:{col}" for col in columns]
+            cols += [a[:n] for a in pair]
+        analysis.write_csv(out / name, header, cols)
+        written.append(name)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

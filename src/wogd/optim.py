@@ -1,10 +1,12 @@
 """Optimizers: the windowed projected-gradient method (WOGD) and baselines.
 
-WOGD updates the hidden weight matrices with a constant rate eta on the
-windowed-loss gradient and keeps their spectral norms inside lambda < 1; the
-singular-value clipping is applied lazily, only when the Frobenius norm of
-the freshly updated matrix exceeds the trigger alpha. The output weights
-follow a projected c/sqrt(t) schedule on the l2 ball.
+Both update the (B, ...) parameter stacks of B runs elementwise, and report
+per run the first non-finite update. WOGD updates the hidden weight matrices
+with a constant rate eta on the windowed-loss gradient and keeps their
+spectral norms inside lambda < 1; the singular-value clip runs lazily, per
+run, only on a freshly updated matrix whose Frobenius norm exceeds the
+trigger alpha. The output weights follow a projected c/sqrt(t) schedule on
+the l2 ball.
 
 The regret bookkeeping uses `projected_gradient`, which always performs the
 true spectral projection (no alpha shortcut): that quantity defines the
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import GRADIENT_MODES, NumericOverflowError, first_failures
-from .linalg import clip_singular_values, project_l2_ball
-from .models import CwrnnParams, SrnnParams, replace_blocks
+from .gradients import first_failures
+from .linalg import clip_singular_values, frobenius_norms, project_l2_ball
+from .models import CwrnnParams, SrnnParams
 
 __all__ = [
     "WogdConfig",
@@ -39,84 +41,88 @@ BASELINE_KINDS = ("sgd", "rmsprop", "adam")
 class WogdConfig:
     """Hyperparameters of the windowed online gradient descent update.
 
-    eta: hidden-layer learning rate; window: number of recent losses averaged
-    into the training objective; lam: spectral-norm radius of the hidden
+    eta: hidden-layer learning rate; lam: spectral-norm radius of the hidden
     weight constraint; alpha: Frobenius-norm trigger of the lazy projection
     (alpha = 0 projects on every step); out_lr_scale: c in the c/sqrt(t)
-    output-layer schedule; out_radius: l2 bound kept on the output weights;
-    mode: gradient flavour handed to the tape ("replay" or "cached").
+    output-layer schedule; out_radius: l2 bound kept on the output weights.
     """
 
     eta: float
-    window: int
     lam: float = 0.95
     alpha: float = 7.5
     out_lr_scale: float = 1.0
     out_radius: float = 1.0
-    mode: str = "replay"
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.out_radius > 0:
             raise ValueError(f"out_radius must be positive, got {self.out_radius}")
-        if self.mode not in GRADIENT_MODES:
-            raise ValueError(f"unknown gradient mode {self.mode!r}")
 
 
-def _lazy_project(
-    updated: np.ndarray, lam: float, alpha: float, t: int
-) -> tuple[np.ndarray, int]:
-    if not np.isfinite(updated).all():
-        raise NumericOverflowError(t, "parameter update")
-    if float(np.linalg.norm(updated)) > alpha:
-        return clip_singular_values(updated, lam), 1
-    return updated, 0
+def _clip(stack: np.ndarray, members: np.ndarray, lam: float) -> None:
+    # in place, on the members where the (B,) mask is set
+    for b in np.flatnonzero(members):
+        stack[b] = clip_singular_values(stack[b], lam)
 
 
-def wogd_step(cfg: WogdConfig, params, grads: dict[str, np.ndarray], t: int):
-    """One WOGD update at timestep t >= 1.
+def wogd_step(cfg: WogdConfig, family, params: dict, grads: dict, t: int):
+    """One WOGD update at timestep t >= 1 of B runs, elementwise over the
+    (B, ...) stacks of params and grads keyed w, u and theta_out; family is
+    the runs' SrnnParams or CwrnnParams (a clockwork w keeps its mask).
 
-    Returns (new_params, projections_applied) where the second element counts
-    how many of the two hidden matrices actually went through the
-    singular-value clip this step.
+    Returns the new stacks, per run the number of hidden matrices clipped
+    (B,), and per run the first non-finite update (or None); the hidden
+    matrices of a failed run are not clipped.
     """
     if t < 1:
         raise ValueError(f"timestep must be >= 1, got {t}")
-    if not isinstance(params, (SrnnParams, CwrnnParams)):
+    if not isinstance(family, (SrnnParams, CwrnnParams)):
         raise TypeError(
             "wogd_step constrains (w, u, theta_out) parameter triples; "
-            f"got {type(params).__name__}"
+            f"got {type(family).__name__}"
         )
-    out_lr = cfg.out_lr_scale / math.sqrt(t)
-    theta_new = params.theta_out - out_lr * grads["theta_out"]
-    if not np.isfinite(theta_new).all():
-        raise NumericOverflowError(t, "output-weight update")
-    theta_new = project_l2_ball(theta_new, cfg.out_radius)
-    w_new, trig_w = _lazy_project(params.w - cfg.eta * grads["w"], cfg.lam, cfg.alpha, t)
-    u_new, trig_u = _lazy_project(params.u - cfg.eta * grads["u"], cfg.lam, cfg.alpha, t)
-    if isinstance(params, CwrnnParams):
-        w_new = w_new * params.recurrent_mask()
-    new_params = replace_blocks(params, {"w": w_new, "u": u_new, "theta_out": theta_new})
-    return new_params, trig_w + trig_u
+    new = {
+        "theta_out": params["theta_out"] - (cfg.out_lr_scale / math.sqrt(t)) * grads["theta_out"],
+        "w": params["w"] - cfg.eta * grads["w"],
+        "u": params["u"] - cfg.eta * grads["u"],
+    }
+    failed = first_failures([
+        ("output-weight update", new["theta_out"]),
+        ("parameter update", new["w"]),
+        ("parameter update", new["u"]),
+    ])
+    new["theta_out"] = project_l2_ball(new["theta_out"], cfg.out_radius)
+    ok = np.array([f is None for f in failed])
+    clips = np.zeros(len(failed), dtype=np.int64)
+    for name in ("w", "u"):
+        triggered = ok & (frobenius_norms(new[name]) > cfg.alpha)
+        _clip(new[name], triggered, cfg.lam)
+        clips += triggered
+    if isinstance(family, CwrnnParams):
+        new["w"] *= family.recurrent_mask()
+    return new, clips, failed
 
 
-def projected_gradient(params, grads: dict[str, np.ndarray], cfg: WogdConfig) -> dict[str, np.ndarray]:
-    """Projected partial derivatives (1/eta)(p - Pi_K[p - eta g]) for the two
-    hidden blocks; equals the raw gradient whenever the post-step point is
-    feasible. The spectral projection is always applied here, regardless of
-    alpha, because this quantity defines the regret being measured. The
-    output block passes through unchanged.
+def projected_gradient(params: dict, grads: dict, cfg: WogdConfig) -> dict[str, np.ndarray]:
+    """Projected partial derivatives (1/eta)(p - Pi_K[p - eta g]) of the two
+    hidden blocks of B runs, over (B, ...) stacks as in wogd_step; equals the
+    raw gradient whenever the post-step point is feasible. The spectral
+    projection is always applied here, regardless of alpha, because this
+    quantity defines the regret being measured; a non-finite post-step point
+    is left unprojected. The output block passes through unchanged.
     """
-    pw = (params.w - clip_singular_values(params.w - cfg.eta * grads["w"], cfg.lam)) / cfg.eta
-    pu = (params.u - clip_singular_values(params.u - cfg.eta * grads["u"], cfg.lam)) / cfg.eta
-    return {"w": pw, "u": pu, "theta_out": grads["theta_out"].copy()}
+    out = {}
+    for name in ("w", "u"):
+        step = params[name] - cfg.eta * grads[name]
+        _clip(step, np.isfinite(step).reshape(len(step), -1).all(axis=1), cfg.lam)
+        out[name] = (params[name] - step) / cfg.eta
+    out["theta_out"] = grads["theta_out"].copy()
+    return out
 
 
 @dataclass

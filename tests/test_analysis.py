@@ -66,7 +66,7 @@ class TestRegretBound:
 
 class TestRegretLedger:
     def make(self):
-        return RegretLedger(eta=0.05, w=10, lam=0.9, n_h=3, n_x=2)
+        return RegretLedger()
 
     def test_zero_gradients(self):
         led = self.make()
@@ -162,7 +162,7 @@ class TestEstimateSmoothness:
         assert est.beta_max == est.beta_mu
 
     def test_ledger_alignment(self):
-        led = RegretLedger(eta=0.1, w=5, lam=0.9, n_h=2, n_x=2)
+        led = RegretLedger()
         with pytest.raises(ValueError):
             led.record_smoothness(
                 estimate_smoothness(

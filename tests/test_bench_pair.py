@@ -11,7 +11,10 @@ SPEC = importlib.util.spec_from_file_location(
 bench_pair = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pair)
 
-METRICS = [{"name": "steps_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+METRICS = [
+    {"name": "steps_per_s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+]
 
 
 def runs(steps, setup):
@@ -31,6 +34,29 @@ def test_summary_pairs_runs_in_order():
     assert (steps["pairs_won"], steps["pairs"]) == (4, 5)  # pair 1 lost
     # lower is better for setup_s, and a tie counts for neither side
     assert summary["setup_s"]["pairs_won"] == 3
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # the change's median is 30% below the parent's: worse than the 25% bound
+        ([100] * 10, [70] * 10, "regression"),
+        # the parent's own quartile spread (40%) exceeds the bound, and the
+        # runs overlap: a 10% gain cannot be told from noise
+        ([60, 140] * 5, [66, 154] * 5, "unresolved"),
+        # the same spread, but every change run beats every parent run, all
+        # ten pairs are won and the medians differ by more than the spread
+        ([60, 140] * 5, [190, 200] * 5, "gain"),
+        # a 1% shift inside a 4% spread: no gain, no regression
+        ([98, 102] * 5, [99, 103] * 5, "no regression"),
+    ],
+)
+def test_verdict_follows_the_benchmark_rules(parent, change, expected):
+    summary = bench_pair.summarize(
+        {"parent": runs(parent, [0.2] * 10), "change": runs(change, [0.2] * 10)}, METRICS
+    )
+    assert summary["steps_per_s"]["verdict"] == expected
+    assert summary["setup_s"]["verdict"] == "no regression"  # every pair tied
 
 
 def test_checkout_tree_is_the_working_directory(tmp_path, monkeypatch):

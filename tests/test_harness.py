@@ -122,11 +122,15 @@ class TestConfigParsing:
             ({"task": "binary_add", "horizon": "-3"}, "horizon must be >= 1"),
             ({"eval_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
             ({"tuning_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
+            ({"window": "0"}, "window must be >= 1"),
+            ({"gradient_mode": "bogus"}, "gradient_mode must be one of"),
+            ({"optimizer": "sgd", "gradient_mode": "bogus"}, "gradient_mode must be one of"),
         ],
         ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative",
              "gradient-bounds-without-wogd", "regret-every-without-recording",
              "tbptt-depth-with-wogd", "horizon-0", "horizon-negative", "eval-runs-0",
-             "tuning-runs-0"],
+             "tuning-runs-0", "wogd-window-0", "wogd-gradient-mode-bogus",
+             "sgd-gradient-mode-bogus"],
     )
     def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
         raw = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
@@ -430,13 +434,13 @@ def _reference_run(cfg, seed):
         params = models.random_srnn(cfg.n_h, n_x, cfg.init_std, rng_init)
     wogd = cfg.optimizer == "wogd"
     wcfg = WogdConfig(
-        eta=cfg.eta, window=cfg.window, lam=cfg.lam, alpha=cfg.alpha,
-        out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius, mode=cfg.gradient_mode,
+        eta=cfg.eta, lam=cfg.lam, alpha=cfg.alpha,
+        out_lr_scale=cfg.out_lr_scale, out_radius=cfg.out_radius,
     )
     bcfg = None if wogd else BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
     moments = {}
     instrumented = cfg.record_regret or cfg.record_smoothness
-    ledger = RegretLedger(cfg.eta, cfg.window, cfg.lam, cfg.n_h, n_x) if instrumented else None
+    ledger = RegretLedger() if instrumented else None
     state = models.zero_state(params)
     tape = ActivationTape(cfg.tbptt_depth or cfg.window, state.h, n_x, state.c)
     losses, projections = [], 0
@@ -456,11 +460,18 @@ def _reference_run(cfg, seed):
             params = models.replace_blocks(params, {k: a[0] for k, a in new.items()})
             continue
         grads = tbptt_gradient(tape, params, cfg.gradient_mode, cfg.loss_kind)
+        # the one-run (B = 1) stacks of the parameters and gradients
+        stacks = (
+            {k: a[None] for k, a in models.param_blocks(params)},
+            {k: g[None] for k, g in grads.items()},
+        )
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         if sampled:
-            ledger.record_regret(projected_gradient(params, grads, wcfg))
-        new, triggered = wogd_step(wcfg, params, grads, t)
-        projections += triggered
+            ledger.record_regret({k: g[0] for k, g in projected_gradient(*stacks, wcfg).items()})
+        new, clips, failed = wogd_step(wcfg, params, *stacks, t)
+        assert failed == [None]
+        new = models.replace_blocks(params, {k: a[0] for k, a in new.items()})
+        projections += int(clips[0])
         if sampled and cfg.record_smoothness:
             probe = models.replace_blocks(new, {"theta_out": params.theta_out})
             after = tbptt_gradient(tape, probe, "replay", cfg.loss_kind)

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wogd.gradients import NumericOverflowError
 from wogd.linalg import clip_singular_values, spectral_norm
-from wogd.models import SrnnParams, param_blocks, random_lstm, random_srnn, replace_blocks
+from wogd.models import (
+    CwrnnParams,
+    SrnnParams,
+    param_blocks,
+    random_cwrnn,
+    random_lstm,
+    random_srnn,
+    replace_blocks,
+)
 from wogd.optim import (
     BaselineConfig,
     WogdConfig,
@@ -42,12 +49,29 @@ def one_run_step(cfg, p, g, t, moments=None):
     return replace_blocks(p, {name: arr[0] for name, arr in new.items()})
 
 
+def stacks(p, g):
+    """The one-run (B = 1) stacks of params p and grads g."""
+    return {name: arr[None] for name, arr in param_blocks(p)}, {k: a[None] for k, a in g.items()}
+
+
+def one_wogd_step(cfg, p, g, t):
+    """wogd_step on the one-run stacks of p and g (B = 1): the new params,
+    the clip count and the failure (or None)."""
+    new, clips, failed = wogd_step(cfg, p, *stacks(p, g), t)
+    return replace_blocks(p, {name: arr[0] for name, arr in new.items()}), int(clips[0]), failed[0]
+
+
+def one_projected_gradient(p, g, cfg):
+    """projected_gradient on the one-run stacks of p and g (B = 1)."""
+    return {name: arr[0] for name, arr in projected_gradient(*stacks(p, g), cfg).items()}
+
+
 class TestWogdStep:
     def test_zero_gradient_is_fixed_point(self):
         rng = np.random.default_rng(0)
         p = random_srnn(3, 2, 0.1, rng)
-        cfg = WogdConfig(eta=0.05, window=10)
-        q, triggered = wogd_step(cfg, p, zero_grads(p), t=1)
+        cfg = WogdConfig(eta=0.05)
+        q, triggered, _ = one_wogd_step(cfg, p, zero_grads(p), t=1)
         assert triggered == 0
         np.testing.assert_array_equal(q.w, p.w)
         np.testing.assert_array_equal(q.u, p.u)
@@ -60,8 +84,8 @@ class TestWogdStep:
         p = random_srnn(3, 2, 0.1, rng)
         g = srnn_grads(rng)
         eta = 0.03
-        cfg = WogdConfig(eta=eta, window=5, alpha=1e9, out_radius=1e9, out_lr_scale=1.0)
-        q, triggered = wogd_step(cfg, p, g, t=4)
+        cfg = WogdConfig(eta=eta, alpha=1e9, out_radius=1e9, out_lr_scale=1.0)
+        q, triggered, _ = one_wogd_step(cfg, p, g, t=4)
         assert triggered == 0
         sgd = BaselineConfig(kind="sgd", learning_rate=eta)
         ref = one_run_step(sgd, p, g, t=4)
@@ -77,8 +101,8 @@ class TestWogdStep:
         direction *= 8.0 / np.linalg.norm(direction)
         g = zero_grads(p)
         g["w"] = (p.w - direction) / 0.5
-        cfg = WogdConfig(eta=0.5, window=5, lam=0.95, alpha=7.5)
-        q, triggered = wogd_step(cfg, p, g, t=1)
+        cfg = WogdConfig(eta=0.5, lam=0.95, alpha=7.5)
+        q, triggered, _ = one_wogd_step(cfg, p, g, t=1)
         assert triggered == 1
         assert spectral_norm(q.w) <= 0.95 + 1e-9
 
@@ -86,8 +110,8 @@ class TestWogdStep:
         rng = np.random.default_rng(3)
         p = random_srnn(3, 2, 0.1, rng)
         g = srnn_grads(rng, scale=0.01)
-        cfg = WogdConfig(eta=0.05, window=5, alpha=7.5)
-        q, triggered = wogd_step(cfg, p, g, t=3)
+        cfg = WogdConfig(eta=0.05, alpha=7.5)
+        q, triggered, _ = one_wogd_step(cfg, p, g, t=3)
         assert triggered == 0
         np.testing.assert_allclose(q.w, p.w - 0.05 * g["w"], atol=1e-15)
 
@@ -96,34 +120,31 @@ class TestWogdStep:
         p = random_srnn(3, 2, 0.1, rng)
         g = zero_grads(p)
         g["theta_out"] = np.array([-100.0, 0.0, 0.0])
-        cfg = WogdConfig(eta=0.05, window=5, out_radius=2.5, out_lr_scale=8.0)
-        q, _ = wogd_step(cfg, p, g, t=1)
+        cfg = WogdConfig(eta=0.05, out_radius=2.5, out_lr_scale=8.0)
+        q, _, _ = one_wogd_step(cfg, p, g, t=1)
         assert np.linalg.norm(q.theta_out) <= 2.5 + 1e-12
 
     def test_rejects_lstm_params(self):
         rng = np.random.default_rng(5)
         p = random_lstm(3, 2, 0.1, rng)
-        cfg = WogdConfig(eta=0.05, window=5)
+        cfg = WogdConfig(eta=0.05)
         with pytest.raises(TypeError):
-            wogd_step(cfg, p, {}, t=1)
+            wogd_step(cfg, p, {}, {}, t=1)
 
     def test_overflow_detected(self):
         rng = np.random.default_rng(6)
         p = random_srnn(3, 2, 0.1, rng)
         g = zero_grads(p)
         g["w"] = np.full((3, 3), np.nan)
-        cfg = WogdConfig(eta=0.05, window=5)
-        with pytest.raises(NumericOverflowError):
-            wogd_step(cfg, p, g, t=7)
+        cfg = WogdConfig(eta=0.05)
+        assert one_wogd_step(cfg, p, g, t=7)[2] == "parameter update"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WogdConfig(eta=0.0, window=5)
+            WogdConfig(eta=0.0)
         with pytest.raises(ValueError):
-            WogdConfig(eta=0.1, window=0)
-        with pytest.raises(ValueError):
-            WogdConfig(eta=0.1, window=5, lam=1.0)
-        WogdConfig(eta=0.1, window=5, alpha=0.0)  # always-project variant is legal
+            WogdConfig(eta=0.1, lam=1.0)
+        WogdConfig(eta=0.1, alpha=0.0)  # always-project variant is legal
 
     @settings(max_examples=200)
     @given(
@@ -142,8 +163,8 @@ class TestWogdStep:
             theta_out=rng.normal(0.0, out_radius, n_h),
         )
         g = srnn_grads(rng, n_h, n_x, scale)
-        cfg = WogdConfig(eta=0.05, window=5, out_lr_scale=out_lr_scale, out_radius=out_radius)
-        q, _ = wogd_step(cfg, p, g, t)
+        cfg = WogdConfig(eta=0.05, out_lr_scale=out_lr_scale, out_radius=out_radius)
+        q, _, _ = one_wogd_step(cfg, p, g, t)
         # The projection scales by radius / norm in floating point, so the
         # computed norm may land up to two ulps (relative) past the radius.
         assert np.linalg.norm(q.theta_out) <= out_radius * (1.0 + 4.0 * np.finfo(float).eps)
@@ -152,11 +173,97 @@ class TestWogdStep:
         rng = np.random.default_rng(7)
         p = random_srnn(3, 2, 0.1, rng)
         g = srnn_grads(rng)
-        cfg = WogdConfig(eta=0.05, window=5)
-        a, _ = wogd_step(cfg, p, g, t=2)
-        b, _ = wogd_step(cfg, p, g, t=2)
+        cfg = WogdConfig(eta=0.05)
+        a, _, _ = one_wogd_step(cfg, p, g, t=2)
+        b, _, _ = one_wogd_step(cfg, p, g, t=2)
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.theta_out, b.theta_out)
+
+
+def serial_wogd_step(cfg, family, params, grads, t):
+    """The WOGD update written out one run at a time, as a reference:
+    np.linalg.norm per matrix, the l2-ball projection, clip_singular_values,
+    and a run stops at its first non-finite update, whose name it reports."""
+    new = {k: a.copy() for k, a in params.items()}
+    clips, failed = [], []
+    for b in range(len(params["w"])):
+        theta = params["theta_out"][b] - (cfg.out_lr_scale / math.sqrt(t)) * grads["theta_out"][b]
+        hidden = {k: params[k][b] - cfg.eta * grads[k][b] for k in ("w", "u")}
+        if not np.isfinite(theta).all():
+            failed.append("output-weight update")
+        elif not all(np.isfinite(a).all() for a in hidden.values()):
+            failed.append("parameter update")
+        else:
+            failed.append(None)
+        clips.append(0)
+        if failed[-1]:
+            continue
+        norm = float(np.linalg.norm(theta))
+        new["theta_out"][b] = theta if norm <= cfg.out_radius else theta * (cfg.out_radius / norm)
+        for k, a in hidden.items():
+            if float(np.linalg.norm(a)) > cfg.alpha:
+                a = clip_singular_values(a, cfg.lam)
+                clips[-1] += 1
+            new[k][b] = a
+        if isinstance(family, CwrnnParams):
+            new["w"][b] = new["w"][b] * family.recurrent_mask()
+    return new, clips, failed
+
+
+class TestStackedUpdate:
+    """wogd_step and projected_gradient over B runs are bit for bit the
+    update of each run alone."""
+
+    @settings(max_examples=150)
+    @given(
+        batch=st.integers(1, 6),
+        half_h=st.integers(1, 8),
+        n_x=st.integers(1, 6),
+        clockwork=st.booleans(),
+        t=st.integers(1, 10**4),
+        alpha=st.sampled_from([0.0, 1.0, 3.0, 1e9]),
+        out_radius=st.floats(1e-2, 10.0),
+        scale=st.floats(1e-3, 1e3),
+        poison=st.sampled_from([None, "w", "u", "theta_out"]),
+        bad=st.sampled_from([np.nan, np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_serial_reference(
+        self, batch, half_h, n_x, clockwork, t, alpha, out_radius, scale, poison, bad, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n_h = 2 * half_h
+        family = (random_cwrnn(n_h, n_x, (1, 2), 0.5, rng) if clockwork
+                  else random_srnn(n_h, n_x, 0.5, rng))
+        params = {k: rng.normal(0.0, 0.5, (batch,) + a.shape) for k, a in param_blocks(family)}
+        if clockwork:
+            params["w"] *= family.recurrent_mask()
+        # scale/eta moves some runs far past alpha and out_radius
+        grads = {k: rng.normal(0.0, scale, a.shape) for k, a in params.items()}
+        poisoned = int(rng.integers(batch)) if poison else None
+        if poison:
+            grads[poison][poisoned].flat[rng.integers(grads[poison][poisoned].size)] = bad
+        cfg = WogdConfig(eta=0.3, lam=0.9, alpha=alpha, out_lr_scale=2.0, out_radius=out_radius)
+
+        with np.errstate(invalid="ignore"):
+            new, clips, failed = wogd_step(cfg, family, params, grads, t)
+            projected = projected_gradient(params, grads, cfg)
+        ref, ref_clips, ref_failed = serial_wogd_step(cfg, family, params, grads, t)
+        assert failed == ref_failed
+        if poison:
+            want = "output-weight update" if poison == "theta_out" else "parameter update"
+            assert failed[poisoned] == want
+        for b in range(batch):
+            if b == poisoned:
+                continue
+            assert clips[b] == ref_clips[b]
+            for k in params:
+                assert np.array_equal(new[k][b], ref[k][b]), (b, k)
+            for k in ("w", "u"):
+                step = params[k][b] - cfg.eta * grads[k][b]
+                want = (params[k][b] - clip_singular_values(step, cfg.lam)) / cfg.eta
+                assert np.array_equal(projected[k][b], want), (b, k)
+        assert np.array_equal(projected["theta_out"], grads["theta_out"], equal_nan=True)
 
 
 class TestBaselineStep:
@@ -259,16 +366,16 @@ class TestProjectedGradient:
         rng = np.random.default_rng(10)
         p = random_srnn(3, 2, 0.05, rng)
         g = srnn_grads(rng, scale=0.01)
-        cfg = WogdConfig(eta=0.05, window=5, lam=0.95)
-        pg = projected_gradient(p, g, cfg)
+        cfg = WogdConfig(eta=0.05, lam=0.95)
+        pg = one_projected_gradient(p, g, cfg)
         np.testing.assert_allclose(pg["w"], g["w"], atol=1e-12)
         np.testing.assert_allclose(pg["u"], g["u"], atol=1e-12)
 
     def test_zero_gradient(self):
         rng = np.random.default_rng(11)
         p = random_srnn(3, 2, 0.05, rng)
-        cfg = WogdConfig(eta=0.05, window=5)
-        pg = projected_gradient(p, zero_grads(p), cfg)
+        cfg = WogdConfig(eta=0.05)
+        pg = one_projected_gradient(p, zero_grads(p), cfg)
         np.testing.assert_allclose(pg["w"], 0.0, atol=1e-12)
 
     def test_boundary_shrinks_gradient(self):
@@ -276,14 +383,14 @@ class TestProjectedGradient:
         # cannot exceed the raw gradient, and it agrees with the direct
         # clip-based computation.
         rng = np.random.default_rng(12)
-        cfg = WogdConfig(eta=0.2, window=5, lam=0.9)
+        cfg = WogdConfig(eta=0.2, lam=0.9)
         for _ in range(25):
             w = rng.normal(size=(3, 3))
             w *= 0.88 / spectral_norm(w)
             p = random_srnn(3, 2, 0.05, rng)
             p = type(p)(w=w, u=p.u, theta_out=p.theta_out)
             g = srnn_grads(rng, scale=3.0)
-            pg = projected_gradient(p, g, cfg)
+            pg = one_projected_gradient(p, g, cfg)
             direct = (w - clip_singular_values(w - cfg.eta * g["w"], cfg.lam)) / cfg.eta
             np.testing.assert_allclose(pg["w"], direct, atol=1e-10)
             assert np.linalg.norm(pg["w"]) <= np.linalg.norm(g["w"]) + 1e-9

@@ -16,8 +16,9 @@ measured checkout; ``change_committed`` says whether it is HEAD's tree) and
 holds, per workload, every run (its end-to-end metrics, ``correct``/``failed``,
 the benchmark's environment record, and the load average and CPU count seen
 just before it), and per end-to-end metric of BENCHMARK.json: the median and
-quartiles of each side, the change/parent ratio of the medians, and in how
-many pairs the change was better.
+quartiles of each side, the change/parent ratio of the medians, in how many
+pairs the change was better, and a verdict against the metric's bound (see
+`verdict`).
 """
 
 from __future__ import annotations
@@ -87,10 +88,39 @@ def bench_run(tree: Path, workload: str) -> dict:
     }
 
 
+def verdict(entry: dict, values: dict[str, list[float]], bound: float) -> str:
+    """The benchmark rules on one metric's summary entry, with the bound as a
+    fraction of the parent's median:
+
+    - regression: the change's median is worse by more than the bound;
+    - unresolved: the parent's quartile spread exceeds the bound and not
+      every change run beats every parent run;
+    - gain: the change won at least 9 in 10 pairs and its median is better
+      by more than the parent's quartile spread;
+    - no regression: otherwise.
+    """
+    higher = entry["better"] == "higher"
+    parent, change = entry["parent"], entry["change"]
+    better_by = (change["median"] - parent["median"]) * (1 if higher else -1)
+    spread = parent["q3"] - parent["q1"]
+    if -better_by > bound * parent["median"]:
+        return "regression"
+    if higher:
+        all_beat = min(values["change"]) > max(values["parent"])
+    else:
+        all_beat = max(values["change"]) < min(values["parent"])
+    if spread > bound * parent["median"] and not all_beat:
+        return "unresolved"
+    if entry["pairs_won"] >= 0.9 * entry["pairs"] and better_by > spread:
+        return "gain"
+    return "no regression"
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the change/parent ratio
-    of the medians, and the pairs the change won. runs maps each side to its
-    runs in pair order."""
+    of the medians, the pairs the change won and the verdict. runs maps each
+    side to its runs in pair order; metrics are BENCHMARK.json's end_to_end
+    entries."""
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -105,6 +135,7 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         )
         entry["pairs"] = len(values["parent"])
         entry["better"] = metric["better"]
+        entry["verdict"] = verdict(entry, values, metric["bound"])
         out[name] = entry
     return out
 
