@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import frobenius_norms
+
 __all__ = [
     "SmoothnessBounds",
     "SmoothnessEstimate",
@@ -92,24 +94,20 @@ class SmoothnessEstimate:
         return self.beta_theta is None and self.beta_mu is None
 
 
-def _block_ratio(g0: np.ndarray, g1: np.ndarray, p0: np.ndarray, p1: np.ndarray):
-    denom = float(np.linalg.norm(p1 - p0))
-    if denom == 0.0:
-        return None
-    return float(np.linalg.norm(g1 - g0)) / denom
-
-
-def estimate_smoothness(grad_t, grad_t1, params_t, params_t1) -> SmoothnessEstimate:
-    """Curvature of the same windowed loss between two parameter points.
+def estimate_smoothness(grad_t, grad_t1, params_t, params_t1) -> list[SmoothnessEstimate]:
+    """Curvature of the same windowed loss between two parameter points, one
+    sample per member of B runs, from (B, ...) stacks keyed w and u.
 
     grad_t and grad_t1 must be gradients of one and the same windowed loss,
     evaluated at params_t and params_t1 (in particular with the same window
     contents and the same output weights).
     """
-    return SmoothnessEstimate(
-        beta_theta=_block_ratio(grad_t["w"], grad_t1["w"], params_t.w, params_t1.w),
-        beta_mu=_block_ratio(grad_t["u"], grad_t1["u"], params_t.u, params_t1.u),
-    )
+    ratios = []
+    for name in ("w", "u"):
+        moved = frobenius_norms(params_t1[name] - params_t[name])
+        change = frobenius_norms(grad_t1[name] - grad_t[name])
+        ratios.append([None if d == 0.0 else float(g) / float(d) for g, d in zip(change, moved)])
+    return [SmoothnessEstimate(*pair) for pair in zip(*ratios)]
 
 
 class RegretLedger:
@@ -119,36 +117,57 @@ class RegretLedger:
     so a single CSV export holds both instrumentation channels. When a run
     samples every k-th step instead of every step, entries are per sample and
     the normalized column divides by the sample count.
+
+    It records the B runs of a lockstep batch at once, an entry being a (B,)
+    row (a list of B samples for smoothness); the readers below take the
+    float entries of one run's ledger, member(b).
     """
 
+    NUMERIC = ("grad_sq_theta", "grad_sq_mu", "regret", "normalized")
+
     def __init__(self):
-        self.grad_sq_theta: list[float] = []
-        self.grad_sq_mu: list[float] = []
-        self.regret: list[float] = []  # running sum R(t)
-        self.normalized: list[float] = []  # R(t) / t
-        self.smoothness: list[SmoothnessEstimate | None] = []
+        self.grad_sq_theta: list = []
+        self.grad_sq_mu: list = []
+        self.regret: list = []  # running sum R(t)
+        self.normalized: list = []  # R(t) / t
+        self.smoothness: list = []
 
     def __len__(self) -> int:
         return len(self.regret)
 
-    def record_regret(self, projected_grads: dict[str, np.ndarray]) -> "RegretLedger":
+    def record_regret(self, projected_grads: dict[str, np.ndarray]) -> None:
+        """Append one entry per run from the (B, ...) stacks keyed w and u."""
         gw = projected_grads["w"]
         gu = projected_grads["u"]
-        sq_theta = float(np.sum(gw * gw))
-        sq_mu = float(np.sum(gu * gu))
+        sq_theta = np.sum(gw * gw, axis=(1, 2))
+        sq_mu = np.sum(gu * gu, axis=(1, 2))
         total = (self.regret[-1] if self.regret else 0.0) + sq_theta + sq_mu
         self.grad_sq_theta.append(sq_theta)
         self.grad_sq_mu.append(sq_mu)
         self.regret.append(total)
         self.normalized.append(total / len(self.regret))
-        self.smoothness.append(None)
-        return self
+        self.smoothness.append([None] * len(total))
 
-    def record_smoothness(self, estimate: SmoothnessEstimate) -> None:
-        """Attach a smoothness sample to the most recent step."""
+    def record_smoothness(self, estimates: list[SmoothnessEstimate]) -> None:
+        """Attach the runs' smoothness samples to the most recent entry."""
         if not self.smoothness:
             raise ValueError("record a regret entry before its smoothness sample")
-        self.smoothness[-1] = estimate
+        self.smoothness[-1] = list(estimates)
+
+    def keep(self, members) -> None:
+        """Drop every run not listed, by batch position."""
+        for name in self.NUMERIC:
+            setattr(self, name, [row[members] for row in getattr(self, name)])
+        self.smoothness = [[row[b] for b in members] for row in self.smoothness]
+
+    def member(self, b: int) -> "RegretLedger":
+        """Run b's ledger: float entries and one smoothness sample (or None)
+        per entry."""
+        led = RegretLedger()
+        for name in self.NUMERIC:
+            setattr(led, name, [float(row[b]) for row in getattr(self, name)])
+        led.smoothness = [row[b] for row in self.smoothness]
+        return led
 
     @property
     def beta_exp(self) -> list[float | None]:
@@ -159,12 +178,8 @@ class RegretLedger:
 
     def beta_block_values(self, block: str) -> np.ndarray:
         """Defined per-step samples for one block ('theta' or 'mu')."""
-        vals = [
-            getattr(e, f"beta_{block}")
-            for e in self.smoothness
-            if e is not None and getattr(e, f"beta_{block}") is not None
-        ]
-        return np.asarray(vals, dtype=np.float64)
+        vals = [getattr(e, f"beta_{block}") for e in self.smoothness if e is not None]
+        return np.asarray([v for v in vals if v is not None], dtype=np.float64)
 
     def to_csv(self, path) -> None:
         write_csv(

@@ -71,8 +71,7 @@ from .gradients import (
     elman_window_gradient,
     window_gradient,
 )
-from .linalg import spectral_norm
-from .models import replace_blocks
+from .linalg import frobenius_norms
 from .optim import BaselineConfig, WogdConfig, baseline_step, projected_gradient, wogd_step
 
 SCHEMA_VERSION = 1
@@ -428,20 +427,19 @@ class _Streams:
             self.x, self.d = self.x.take(members, axis=1), self.d.take(members, axis=1)
 
 
-def _gradient_bound_check(params, grads, cfg: ExperimentConfig, t: int) -> None:
-    # Closed-form gradient ceiling of one run (blocks keyed like
-    # param_blocks); only binding while the spectral and output-norm
-    # preconditions hold at this step.
-    lam = cfg.lam
-    if spectral_norm(params["w"]) > lam or spectral_norm(params["u"]) > lam:
-        return
-    if np.linalg.norm(params["theta_out"]) > 1.0:
-        return
-    n_h, n_x = params["u"].shape
-    slack = 1e-9
-    bound_w = 2.0 * math.sqrt(n_h) * math.sqrt(n_h) / (1.0 - lam)
-    bound_u = 2.0 * math.sqrt(n_h) * math.sqrt(n_x) / (1.0 - lam)
-    if np.linalg.norm(grads["w"]) > bound_w + slack or np.linalg.norm(grads["u"]) > bound_u + slack:
+def _gradient_bound_check(params, grads, failed, cfg: ExperimentConfig, t: int) -> None:
+    # Closed-form gradient ceiling of B runs ((B, ...) stacks keyed like
+    # param_blocks), checked on the runs whose gradient did not fail; only
+    # binding while the spectral and output-norm preconditions hold at this
+    # step. The spectral norms are those of the SVD spectral_norm takes.
+    lam, n_h = cfg.lam, params["w"].shape[1]
+    binding = np.array([f is None for f in failed]) & (frobenius_norms(params["theta_out"]) <= 1.0)
+    over = np.zeros(len(failed), dtype=bool)
+    for name in ("w", "u"):
+        binding &= np.linalg.svd(params[name], full_matrices=False)[1][:, 0] <= lam
+        bound = 2.0 * math.sqrt(n_h) * math.sqrt(params[name].shape[2]) / (1.0 - lam)
+        over |= frobenius_norms(grads[name]) > bound + 1e-9
+    if (binding & over).any():
         raise AssertionError(f"gradient-norm ceiling violated at t={t}")
 
 
@@ -484,27 +482,28 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     optimizer; one seed is the B = 1 batch.
 
     Each member keeps its own generators, stream, parameters, window,
-    optimizer moments and regret ledger; only the numpy calls are shared
+    optimizer moments and regret entries; only the numpy calls are shared
     (parameters as (B, ...) stacks keyed like param_blocks, one
-    ActivationTape with a member axis, the batched kernels). So every field
-    of a result except runtime_s is bit for bit the same whichever seeds share
-    the batch. runtime_s is the batch's wall time over the number of seeds.
+    ActivationTape and one RegretLedger with a member axis, the batched
+    kernels). So every field of a result except runtime_s is bit for bit the
+    same whichever seeds share the batch. runtime_s is the batch's wall time
+    over the number of seeds.
 
     The first-order baselines (sgd, rmsprop, adam) backpropagate the newest
     loss through the recorded activations of the last tape_depth steps and
     update every block. WOGD descends the window's mean loss; its
-    instrumentation runs per member on every regret_every-th step: the
-    closed-form gradient ceiling (an AssertionError when violated), the
-    projected-gradient regret entry before the update and, after it, the
-    smoothness probe, which replays the window at the new hidden weights and
-    the old output weights for all members in one call. Step t + 1's replay
+    instrumentation runs over the member stacks: at every step the
+    closed-form gradient ceiling (an AssertionError when violated), and on
+    every regret_every-th step the projected-gradient regret entry before the
+    update and, after it, the smoothness probe, which replays the window at
+    the new hidden weights and the old output weights. Step t + 1's replay
     runs at the same hidden weights, so once the window is full and before
     the last step that call also replays the next window (one step on, from
     the next anchor, at the new output weights) as B more members, and step
     t + 1 takes its gradient from there instead of calling the kernel again.
 
     A member leaves the batch when it reaches the binary-addition horizon or
-    when its gradient, update or smoothness probe turns non-finite; the
+    when its gradient, update, smoothness probe or loss turns non-finite; the
     others finish, and then a DivergedSeedsError carries their results; its
     timestep and message are those of the first diverged seed (in seed
     order).
@@ -535,15 +534,15 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     mode = cfg.gradient_mode if wogd else "cached"
     moments: dict = {}  # (moment, block) -> (B, ...) stack, for rmsprop and adam
     instrumented = cfg.record_regret or cfg.record_smoothness
-    ledgers = [analysis.RegretLedger() if instrumented else None for _ in seeds]  # by seed position
+    ledger = analysis.RegretLedger() if instrumented else None  # with a member axis
 
     order = np.arange(len(seeds))  # seed position of each batch member
     pending = None  # step t + 1's (grads, failed), replayed in step t's probe call
     losses = np.empty((total, len(seeds)))
     projections = np.zeros(len(seeds), dtype=np.int64)
     consec = np.zeros(len(seeds), dtype=np.int64)
-    # seed position -> (losses, sustainable_t, projection_count)
-    finished: dict[int, tuple[np.ndarray, int | None, int]] = {}
+    # seed position -> (losses, sustainable_t, projection_count, ledger)
+    finished: dict[int, tuple] = {}
     diverged: dict[int, NumericOverflowError] = {}
     started = time.perf_counter()
 
@@ -570,60 +569,37 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         probing = sampled and cfg.record_smoothness
         before = params  # both updates return new stacks
-        if wogd:  # instrumentation on the members whose gradient is finite
-            finite = [b for b, what in enumerate(failed) if what is None]
+        if wogd:  # a member whose gradient failed leaves, its ledger rows with it
             if cfg.check_gradient_bounds:
-                for b in finite:
-                    _gradient_bound_check(
-                        {k: a[b] for k, a in params.items()}, {k: g[b] for k, g in grads.items()},
-                        cfg, t,
-                    )
+                _gradient_bound_check(params, grads, failed, cfg, t)
             if sampled:
-                projected = projected_gradient(params, grads, opt)
-                for b in finite:
-                    ledgers[order[b]].record_regret({k: g[b] for k, g in projected.items()})
+                ledger.record_regret(projected_gradient(params, grads, opt))
             params, clips, bad = wogd_step(opt, template, params, grads, t)
             projections += clips
         else:
             params, bad = baseline_step(opt, params, grads, moments, t)
-        leaving = []
-        for b, what in enumerate(failed):  # the kernel's failure, else the update's
-            if what or bad[b]:
-                diverged[int(order[b])] = NumericOverflowError(t, what or bad[b])
-                leaving.append(b)
 
+        probe_failed = [None] * len(order)
         if probing:
             # the same windowed loss at (new w, new u, old theta_out)
             w, u, theta = params["w"], params["u"], params["theta_out"]
             if m == cfg.window and t < total:
                 # members B..2B-1: step t + 1's replay at (new w, new u, new theta_out)
                 batch = len(order)
-                both, failed = elman_window_gradient(
+                both, probe_failed = elman_window_gradient(
                     *_paired_windows(tape, *stream.at(t + 1)),
                     np.concatenate([w, w]), np.concatenate([u, u]),
                     np.concatenate([before["theta_out"], theta]), "replay", loss_kind, weights,
                     template,
                 )
                 after = {k: g[:batch] for k, g in both.items()}
-                pending = {k: g[batch:] for k, g in both.items()}, failed[batch:]
+                pending = {k: g[batch:] for k, g in both.items()}, probe_failed[batch:]
             else:
-                after, failed = window_gradient(
+                after, probe_failed = window_gradient(
                     tape, {**params, "theta_out": before["theta_out"]}, template, "replay",
                     loss_kind, weights,
                 )
-            for b in range(len(order)):
-                if b in leaving:
-                    continue
-                if failed[b] is not None:
-                    diverged[int(order[b])] = NumericOverflowError(t, failed[b])
-                    leaving.append(b)
-                    continue
-                ledgers[order[b]].record_smoothness(analysis.estimate_smoothness(
-                    {k: g[b] for k, g in grads.items()},
-                    {k: g[b] for k, g in after.items()},
-                    replace_blocks(template, {"w": before["w"][b], "u": before["u"][b]}),
-                    replace_blocks(template, {"w": w[b], "u": u[b]}),
-                ))
+            ledger.record_smoothness(analysis.estimate_smoothness(grads, after, before, params))
 
         if squared:
             r = pred - d_t
@@ -633,6 +609,14 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                 tasks.loss_and_residual(float(y), float(d), loss_kind)[0]
                 for y, d in zip(pred, d_t)
             ]
+        lost = ~np.isfinite(losses[t - 1])
+        # the kernel's failure, else the update's, the probe's, the loss's
+        leaving = []
+        for b, what in enumerate(failed):
+            what = what or bad[b] or probe_failed[b] or ("loss" if lost[b] else None)
+            if what:
+                diverged[int(order[b])] = NumericOverflowError(t, what)
+                leaving.append(b)
 
         done = []  # (batch position, steps run, sustainable_t)
         if binary:
@@ -644,7 +628,8 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         for b, steps_run, sustainable_t in done:
             if b not in leaving:
                 finished[int(order[b])] = (
-                    losses[:steps_run, b].copy(), sustainable_t, int(projections[b])
+                    losses[:steps_run, b].copy(), sustainable_t, int(projections[b]),
+                    None if ledger is None else ledger.member(b),
                 )
                 leaving.append(b)
         if leaving:
@@ -657,6 +642,8 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             losses = losses.take(keep, axis=1)
             tape.keep(keep)
             stream.keep(keep)
+            if ledger is not None:
+                ledger.keep(keep)
             if pending is not None:
                 grads_next, failed_next = pending
                 pending = (
@@ -665,7 +652,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
     runtime = (time.perf_counter() - started) / len(seeds)
     results = [
-        _result(cfg, seed, runtime, *finished[k], ledgers[k])
+        _result(cfg, seed, runtime, *finished[k])
         for k, seed in enumerate(seeds)
         if k in finished
     ]
@@ -804,15 +791,9 @@ def aggregate(results: list[RunResult]) -> Summary:
                 np.mean([led.regret[:n] for led in ledgers], axis=0),
                 np.mean([led.normalized[:n] for led in ledgers], axis=0),
             )
-            betas = [led.beta_exp[:n] for led in ledgers]
-            if any(b is not None for led in betas for b in led):
-                stacked = np.asarray(
-                    [[np.nan if b is None else b for b in led] for led in betas]
-                )
-                smooth[label] = (
-                    np.nanmean(stacked, axis=0),
-                    np.nanmax(stacked, axis=0),
-                )
+            betas = np.array([led.beta_exp[:n] for led in ledgers], dtype=np.float64)  # None: nan
+            if not np.isnan(betas).all():
+                smooth[label] = (np.nanmean(betas, axis=0), np.nanmax(betas, axis=0))
     return Summary(rows=rows, curves=curves, regret=regret, smoothness=smooth, seeds=seeds)
 
 

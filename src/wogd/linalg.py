@@ -29,12 +29,12 @@ class SvdResult:
     v: np.ndarray
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, ndims=(2,)) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if max(a.shape) > MAX_DIM:
-        raise ValueError(f"matrix dimension {max(a.shape)} exceeds supported {MAX_DIM}")
+    if a.ndim not in ndims or min(a.shape) < 1:
+        raise ValueError(f"expected a {'/'.join(map(str, ndims))}-d array, got shape {a.shape}")
+    if max(a.shape[-2:]) > MAX_DIM:
+        raise ValueError(f"matrix dimension {max(a.shape[-2:])} exceeds supported {MAX_DIM}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
@@ -57,26 +57,29 @@ def spectral_norm(m) -> float:
 
 
 def clip_singular_values(m, lam: float) -> np.ndarray:
-    """Nearest matrix in Frobenius norm with spectral norm <= lam.
+    """Nearest matrix in Frobenius norm with spectral norm <= lam, of a
+    matrix or of each member of a (B, rows, cols) stack (one SVD call for the
+    stack, bitwise the call per matrix).
 
-    Computed by clipping the singular values at lam. If the input already
-    satisfies the bound it is returned unchanged (as a copy); an input whose
-    Frobenius norm is within the bound satisfies it too (sigma_max <=
-    ||A||_F) and skips the SVD. A clipped result's computed spectral norm can
-    round above lam, so clipping it again may move it by rounding: the
-    operation is idempotent to rounding, not bitwise.
+    Computed by clipping the singular values at lam. A matrix that already
+    satisfies the bound is returned unchanged (as a copy). When every
+    member's Frobenius norm is within the bound, they all satisfy it
+    (sigma_max <= ||A||_F) and the SVD is skipped. A clipped result's
+    computed spectral norm can round above lam, so clipping it again may
+    move it by rounding: the operation is idempotent to rounding, not
+    bitwise.
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    a = _as_matrix(m)
+    a = _as_matrix(m, (2, 3))
+    stack = a.reshape(-1, *a.shape[-2:])
     # The computed sigma_max can exceed the computed Frobenius norm by a few
     # ulps (rank-one inputs); the slack keeps the exit bitwise the SVD path.
-    if np.linalg.norm(a) <= lam * (1.0 - 1e-12):
+    if (frobenius_norms(stack) <= lam * (1.0 - 1e-12)).all():
         return a.copy()
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    if sigma[0] <= lam:
-        return a.copy()
-    return (u * np.minimum(sigma, lam)) @ vt
+    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+    clipped = (u * np.minimum(sigma, lam)[:, None]) @ vt
+    return np.where((sigma[:, 0] > lam)[:, None, None], clipped, stack).reshape(a.shape)
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 Both update the (B, ...) parameter stacks of B runs elementwise, and report
 per run the first non-finite update. WOGD updates the hidden weight matrices
 with a constant rate eta on the windowed-loss gradient and keeps their
-spectral norms inside lambda < 1; the singular-value clip runs lazily, per
-run, only on a freshly updated matrix whose Frobenius norm exceeds the
-trigger alpha. The output weights follow a projected c/sqrt(t) schedule on
-the l2 ball.
+spectral norms inside lambda < 1; the singular-value clip runs lazily, as one
+stacked call per block, only on the freshly updated matrices whose Frobenius
+norm exceeds the trigger alpha. The output weights follow a projected
+c/sqrt(t) schedule on the l2 ball.
 
 The regret bookkeeping uses `projected_gradient`, which always performs the
 true spectral projection (no alpha shortcut): that quantity defines the
@@ -64,12 +64,6 @@ class WogdConfig:
             raise ValueError(f"out_radius must be positive, got {self.out_radius}")
 
 
-def _clip(stack: np.ndarray, members: np.ndarray, lam: float) -> None:
-    # in place, on the members where the (B,) mask is set
-    for b in np.flatnonzero(members):
-        stack[b] = clip_singular_values(stack[b], lam)
-
-
 def wogd_step(cfg: WogdConfig, family, params: dict, grads: dict, t: int):
     """One WOGD update at timestep t >= 1 of B runs, elementwise over the
     (B, ...) stacks of params and grads keyed w, u and theta_out; family is
@@ -101,7 +95,8 @@ def wogd_step(cfg: WogdConfig, family, params: dict, grads: dict, t: int):
     clips = np.zeros(len(failed), dtype=np.int64)
     for name in ("w", "u"):
         triggered = ok & (frobenius_norms(new[name]) > cfg.alpha)
-        _clip(new[name], triggered, cfg.lam)
+        if triggered.any():
+            new[name][triggered] = clip_singular_values(new[name][triggered], cfg.lam)
         clips += triggered
     if isinstance(family, CwrnnParams):
         new["w"] *= family.recurrent_mask()
@@ -119,7 +114,9 @@ def projected_gradient(params: dict, grads: dict, cfg: WogdConfig) -> dict[str, 
     out = {}
     for name in ("w", "u"):
         step = params[name] - cfg.eta * grads[name]
-        _clip(step, np.isfinite(step).reshape(len(step), -1).all(axis=1), cfg.lam)
+        finite = np.isfinite(step).reshape(len(step), -1).all(axis=1)
+        if finite.any():
+            step[finite] = clip_singular_values(step[finite], cfg.lam)
         out[name] = (params[name] - step) / cfg.eta
     out["theta_out"] = grads["theta_out"].copy()
     return out

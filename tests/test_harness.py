@@ -2,15 +2,18 @@
 
 import dataclasses
 import json
+import math
 import pickle
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogd import gradients, harness, models, tasks
-from wogd.analysis import RegretLedger, estimate_smoothness
 from wogd.cli import main as cli_main
 from wogd.gradients import ActivationTape, NumericOverflowError, instant_gradient, tbptt_gradient
 from wogd.harness import (
@@ -28,7 +31,8 @@ from wogd.harness import (
     run_many,
     run_single,
 )
-from wogd.optim import BaselineConfig, WogdConfig, baseline_step, projected_gradient, wogd_step
+from wogd.linalg import clip_singular_values, spectral_norm
+from wogd.optim import BaselineConfig, WogdConfig, baseline_step, wogd_step
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture_regression.csv")
 
@@ -182,9 +186,8 @@ class TestRunSingle:
         assert len(res.ledger) == 8
         dense = run_single(fixture_cfg(record_regret=True, steps=40), 1)
         # strided samples are the every-5th entries of the dense run
-        np.testing.assert_allclose(
-            res.ledger.grad_sq_theta, dense.ledger.grad_sq_theta[::5], atol=1e-15
-        )
+        assert res.ledger.grad_sq_theta == dense.ledger.grad_sq_theta[::5]
+        assert res.ledger.grad_sq_mu == dense.ledger.grad_sq_mu[::5]
 
     def test_empty_stream_rejected(self, tmp_path):
         path = tmp_path / "none.csv"
@@ -378,17 +381,17 @@ class TestRunBatch:
                 assert getattr(res.ledger, name) == getattr(ledger, name), name
 
     def test_gradient_bounds_checked_per_member_and_step(self, monkeypatch):
-        calls = []
+        calls = []  # (t, batch position) of every member the check covers
         real = harness._gradient_bound_check
 
-        def counting(params, grads, cfg, t):
-            calls.append(t)
-            real(params, grads, cfg, t)
+        def counting(params, grads, failed, cfg, t):
+            calls.extend((t, b) for b, what in enumerate(failed) if what is None)
+            real(params, grads, failed, cfg, t)
 
         monkeypatch.setattr(harness, "_gradient_bound_check", counting)
         cfg = BATCH_CASES["gradient-bounds"][0]
         run_batch(cfg, (1, 2))
-        assert sorted(calls) == sorted(list(range(1, 41)) * 2)
+        assert sorted(calls) == [(t, b) for t in range(1, 41) for b in (0, 1)]
         calls.clear()
         run_batch(dataclasses.replace(cfg, check_gradient_bounds=False), (1, 2))
         assert calls == []
@@ -420,7 +423,9 @@ def _reference_run(cfg, seed):
     """One synthetic-task run written out step by step with the one-run API:
     the online loop that run_batch must reproduce bit for bit, for WOGD and
     for the first-order baselines. Returns the loss curve, the projection
-    count and the regret ledger (or None)."""
+    count and the ledger's lists (or None), computed per run: the
+    projected gradient with one clip per matrix, np.sum per matrix, the
+    running sum as (R + sq_theta) + sq_mu, np.linalg.norm ratios."""
     rng_init, rng_data = (
         np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2)
     )
@@ -440,7 +445,7 @@ def _reference_run(cfg, seed):
     bcfg = None if wogd else BaselineConfig(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
     moments = {}
     instrumented = cfg.record_regret or cfg.record_smoothness
-    ledger = RegretLedger() if instrumented else None
+    ledger = SimpleNamespace(**{name: [] for name in LEDGER_LISTS}) if instrumented else None
     state = models.zero_state(params)
     tape = ActivationTape(cfg.tbptt_depth or cfg.window, state.h, n_x, state.c)
     losses, projections = [], 0
@@ -467,7 +472,17 @@ def _reference_run(cfg, seed):
         )
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         if sampled:
-            ledger.record_regret({k: g[0] for k, g in projected_gradient(*stacks, wcfg).items()})
+            sq = []
+            for k in ("w", "u"):
+                step = getattr(params, k) - wcfg.eta * grads[k]
+                projected = (getattr(params, k) - clip_singular_values(step, wcfg.lam)) / wcfg.eta
+                sq.append(float(np.sum(projected * projected)))
+            total = (ledger.regret[-1] if ledger.regret else 0.0) + sq[0] + sq[1]
+            ledger.grad_sq_theta.append(sq[0])
+            ledger.grad_sq_mu.append(sq[1])
+            ledger.regret.append(total)
+            ledger.normalized.append(total / len(ledger.regret))
+            ledger.beta_exp.append(None)
         new, clips, failed = wogd_step(wcfg, params, *stacks, t)
         assert failed == [None]
         new = models.replace_blocks(params, {k: a[0] for k, a in new.items()})
@@ -475,9 +490,87 @@ def _reference_run(cfg, seed):
         if sampled and cfg.record_smoothness:
             probe = models.replace_blocks(new, {"theta_out": params.theta_out})
             after = tbptt_gradient(tape, probe, "replay", cfg.loss_kind)
-            ledger.record_smoothness(estimate_smoothness(grads, after, params, probe))
+            ratios = []  # of the blocks that moved
+            for k in ("w", "u"):
+                moved = float(np.linalg.norm(getattr(probe, k) - getattr(params, k)))
+                if moved != 0.0:
+                    ratios.append(float(np.linalg.norm(after[k] - grads[k])) / moved)
+            ledger.beta_exp[-1] = max(ratios, default=None)
         params = new
     return np.cumsum(losses) / np.arange(1, len(losses) + 1), projections, ledger
+
+
+def serial_gradient_bound_violated(params, grads, lam):
+    """The closed-form gradient ceiling of one run written out, as a
+    reference: spectral_norm and np.linalg.norm per matrix."""
+    if spectral_norm(params["w"]) > lam or spectral_norm(params["u"]) > lam:
+        return False
+    if np.linalg.norm(params["theta_out"]) > 1.0:
+        return False
+    n_h, n_x = params["u"].shape
+    bound_w = 2.0 * math.sqrt(n_h) * math.sqrt(n_h) / (1.0 - lam)
+    bound_u = 2.0 * math.sqrt(n_h) * math.sqrt(n_x) / (1.0 - lam)
+    return bool(np.linalg.norm(grads["w"]) > bound_w + 1e-9
+                or np.linalg.norm(grads["u"]) > bound_u + 1e-9)
+
+
+def _violated(params, grads, finite, cfg):
+    failed = [None if ok else "gradient" for ok in finite]
+    try:
+        harness._gradient_bound_check(params, grads, failed, cfg, 7)
+    except AssertionError as exc:
+        assert str(exc) == "gradient-norm ceiling violated at t=7"
+        return True
+    return False
+
+
+class TestGradientBoundCheck:
+    """The ceiling check over (B, ...) stacks decides for each member what the
+    check of that run alone decides."""
+
+    @settings(max_examples=150)
+    @given(
+        batch=st.integers(1, 6),
+        n_h=st.integers(1, 8),
+        n_x=st.integers(1, 6),
+        lam=st.sampled_from([0.5, 0.9, 0.95]),
+        poison=st.sampled_from([None, np.nan, np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_serial_reference(self, batch, n_h, n_x, lam, poison, seed):
+        rng = np.random.default_rng(seed)
+        cfg = _synthetic(lam=lam)
+        bounds = {"w": 2.0 * n_h / (1.0 - lam), "u": 2.0 * math.sqrt(n_h * n_x) / (1.0 - lam)}
+
+        def scales():  # of a spectral, output or gradient norm: below, at and past its limit
+            return rng.choice([0.5, 1.0, 1.0 + 1e-15, 2.0], batch)
+
+        params, grads = {}, {}
+        for k, shape in (("w", (n_h, n_h)), ("u", (n_h, n_x))):
+            a = rng.normal(size=(batch,) + shape)
+            g = rng.normal(size=(batch,) + shape)
+            for b, (f, h) in enumerate(zip(scales(), scales())):
+                a[b] *= f * lam / spectral_norm(a[b])
+                g[b] *= h * (bounds[k] + 1e-9) / np.linalg.norm(g[b])
+            params[k], grads[k] = a, g
+        theta = rng.normal(size=(batch, n_h))
+        params["theta_out"] = theta * (scales() / np.linalg.norm(theta, axis=1))[:, None]
+        grads["theta_out"] = rng.normal(size=(batch, n_h))
+        finite = np.ones(batch, dtype=bool)
+        if poison is not None:
+            b = int(rng.integers(batch))
+            grads[("w", "u")[b % 2]][b].flat[0] = poison
+            finite[b] = False
+
+        want = [
+            finite[b] and serial_gradient_bound_violated(
+                {k: a[b] for k, a in params.items()}, {k: g[b] for k, g in grads.items()}, lam
+            )
+            for b in range(batch)
+        ]
+        assert _violated(params, grads, finite, cfg) == any(want)
+        for b in range(batch):  # each member on its own
+            assert _violated(params, grads, finite & (np.arange(batch) == b), cfg) == want[b]
 
 
 class TestGridSearch:
@@ -706,6 +799,27 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err.startswith("error[numeric]: ")
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_loss_is_a_divergence(self, tmp_path, capsys):
+        # seed 3's squared loss overflows to inf at t = 131 while its
+        # gradients and updates stay finite
+        text = (
+            "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 400\nmodel = srnn\n"
+            "n_h = 10\noptimizer = wogd\neta = 1e6\nwindow = 50\nalpha = 1e9\n"
+            f"out_lr_scale = 1e12\nout_radius = 1e300\nseeds = 3\nout_dir = {tmp_path}/out\n"
+        )
+        cfg_path = tmp_path / "overflow.cfg"
+        cfg_path.write_text(text)
+        cfg = load_config(cfg_path)
+        with pytest.raises(NumericOverflowError) as alone:
+            run_single(cfg, 3)
+        assert (alone.value.timestep, alone.value.what) == (131, "loss")
+        with pytest.raises(DivergedSeedsError) as batched:
+            run_batch(cfg, (1, 2, 3))
+        assert batched.value.results == []
+        assert (batched.value.diverged[3].timestep, batched.value.diverged[3].what) == (131, "loss")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.strip() == "error[numeric]: non-finite loss at timestep 131"
 
     def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -297,6 +297,31 @@ class TestClipProperties:
         assert d_clip <= grid_nearest_distance(m, lam) + 1e-12
 
 
+class TestStackedClip:
+    """A (B, rows, cols) stack is clipped bit for bit as each member alone."""
+
+    @PROPERTY
+    @given(
+        data=st.data(),
+        batch=st.integers(1, 6),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        poison=st.sampled_from([None, np.nan, np.inf]),
+    )
+    def test_each_member_equals_svd_reference(self, data, batch, shape, poison):
+        cases = [data.draw(clip_cases(shape=shape)) for _ in range(batch)]
+        # one bound for the stack, at or around some member's exits
+        lam = cases[data.draw(st.integers(0, batch - 1))][1]
+        stack = np.stack([m for m, _ in cases])
+        got = clip_singular_values(stack, lam)
+        assert got.shape == stack.shape
+        for b, (m, _) in enumerate(cases):
+            assert np.array_equal(got[b], svd_clip_reference(m, lam)), b
+        if poison is not None:
+            stack[data.draw(st.integers(0, batch - 1))].flat[0] = poison
+            with pytest.raises(ValueError, match="non-finite"):
+                clip_singular_values(stack, lam)
+
+
 class TestProjectL2Ball:
     def test_interior_unchanged(self):
         v = np.array([0.3, 0.4])
