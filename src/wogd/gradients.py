@@ -22,9 +22,11 @@ baselines (SGD/RMSprop/Adam) take its cached-mode gradient of the newest loss
 only; ``instant_gradient`` is that gradient for one run.
 
 ``tbptt_gradient``, ``instant_gradient``, ``smoothed_loss`` and
-``fd_gradient`` read a one-run tape. All gradients are returned as a dict
-keyed by parameter-block name, with the same shapes as the corresponding
-parameter arrays (the kernels add a leading member axis).
+``fd_gradient`` read a one-run tape. The finite-difference oracle
+``fd_gradient`` is batched over members: the +-eps probes of a chunk of
+entries run as the members of one forward-kernel call. All gradients are
+returned as a dict keyed by parameter-block name, with the same shapes as
+the corresponding parameter arrays (the kernels add a leading member axis).
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ from .models import (
     member_major,
     param_blocks,
     predictions,
-    replace_blocks,
 )
 from .tasks import CROSS_ENTROPY_CLAMP, LOSS_SQUARED
 
 GRADIENT_MODES = ("replay", "cached")
+_FD_CHUNK = 32  # entries fd_gradient perturbs per kernel call, as 2 * _FD_CHUNK members
 
 
 class NumericOverflowError(RuntimeError):
@@ -181,13 +183,13 @@ def _cells(tape: ActivationTape) -> np.ndarray:
     return tape.c
 
 
-def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> float:
+def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> np.ndarray:
     # Vectorized twin of tasks.loss_and_residual, averaged over the window.
     if loss_kind == LOSS_SQUARED:
         r = preds - targets
-        return float(np.mean(0.5 * r * r))
+        return np.mean(0.5 * r * r, axis=-1)
     p = np.clip(preds, CROSS_ENTROPY_CLAMP, 1.0 - CROSS_ENTROPY_CLAMP)
-    return float(np.mean(-targets * np.log(p) - (1.0 - targets) * np.log(1.0 - p)))
+    return np.mean(-targets * np.log(p) - (1.0 - targets) * np.log(1.0 - p), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +419,24 @@ def smoothed_loss(tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED) -
     parameters, so this is a function of (tape contents, params).
     """
     _window_length(tape)
-    return _smoothed_loss(tape, params, loss_kind)
+    blocks = {name: a[None] for name, a in param_blocks(params)}
+    return float(_smoothed_loss(tape, blocks, params, loss_kind)[0])
 
 
-def _smoothed_loss(tape: ActivationTape, params, loss_kind: str) -> float:
-    if isinstance(params, (SrnnParams, CwrnnParams)):
-        w, active = clockwork(params.w[None], params, tape.ts)
-        h = elman_forward(member_major(tape.x), tape.h[0][..., None], w, params.u[None], active)
-        h = h[:, 0, :, 0]
-    elif isinstance(params, LstmParams):
-        blocks = {name: a[None] for name, a in param_blocks(params)}
-        h = lstm_forward(member_major(tape.x), tape.h[0], _cells(tape)[0], *lstm_stacks(blocks))
-        h = h[0][:, 0]
+def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.ndarray:
+    """Replay mean losses (B,) of a one-run tape under (B, ...) stacks keyed
+    like param_blocks of the family of `family`, as B members of one call."""
+    batch = len(blocks["theta_out"])
+    xb = np.repeat(member_major(tape.x), batch, axis=0)
+    h0 = np.repeat(tape.h[0], batch, axis=0)
+    if isinstance(family, LstmParams):
+        h = lstm_forward(xb, h0, np.repeat(_cells(tape)[0], batch, axis=0), *lstm_stacks(blocks))[0]
+    elif isinstance(family, (SrnnParams, CwrnnParams)):
+        w, active = clockwork(blocks["w"], family, tape.ts)
+        h = elman_forward(xb, h0[..., None], w, blocks["u"], active)[..., 0]
     else:
-        raise TypeError(f"unknown parameter type {type(params).__name__}")
-    preds = predictions(h[1:], params.theta_out, loss_kind)
+        raise TypeError(f"unknown parameter type {type(family).__name__}")
+    preds = predictions(member_major(h)[:, 1:], blocks["theta_out"], loss_kind)
     return _mean_loss(preds, tape.d[:, 0], loss_kind)
 
 
@@ -468,10 +473,7 @@ def _tape_gradient(tape: ActivationTape, params, mode: str, loss_kind: str, weig
 
 
 def fd_gradient(
-    tape: ActivationTape,
-    params,
-    eps: float = 1e-6,
-    loss_kind: str = LOSS_SQUARED,
+    tape: ActivationTape, params, eps: float = 1e-6, loss_kind: str = LOSS_SQUARED
 ) -> dict[str, np.ndarray]:
     """Central finite differences of the replay smoothed loss, every entry.
 
@@ -482,20 +484,17 @@ def fd_gradient(
     if not (1e-8 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-8, 1e-3], got {eps}")
     _window_length(tape)
+    blocks = dict(param_blocks(params))
     grads: dict[str, np.ndarray] = {}
-    for name, arr in param_blocks(params):
-        work = arr.copy()
-        probe = replace_blocks(params, {name: work})
-        g = np.zeros_like(work)
-        flat_w = work.reshape(-1)
-        flat_g = g.reshape(-1)
-        for k in range(flat_w.size):
-            orig = flat_w[k]
-            flat_w[k] = orig + eps
-            up = _smoothed_loss(tape, probe, loss_kind)
-            flat_w[k] = orig - eps
-            down = _smoothed_loss(tape, probe, loss_kind)
-            flat_w[k] = orig
-            flat_g[k] = (up - down) / (2.0 * eps)
-        grads[name] = g
+    for name, arr in blocks.items():
+        g = np.empty(arr.size)
+        for lo in range(0, arr.size, _FD_CHUNK):
+            k = min(_FD_CHUNK, arr.size - lo)
+            stack = {n: np.repeat(a[None], 2 * k, axis=0) for n, a in blocks.items()}
+            probe, rows = stack[name].reshape(2 * k, -1), np.arange(k)  # writes into stack
+            probe[rows, lo + rows] += eps
+            probe[k + rows, lo + rows] -= eps
+            loss = _smoothed_loss(tape, stack, params, loss_kind)
+            g[lo : lo + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+        grads[name] = g.reshape(arr.shape)
     return grads

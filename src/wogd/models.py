@@ -355,11 +355,6 @@ def param_blocks(params) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def replace_blocks(params, blocks: dict[str, np.ndarray]):
-    """New params of the same family with the listed blocks swapped in."""
-    return dataclasses.replace(params, **blocks)
-
-
 def random_srnn(n_h: int, n_x: int, std: float, rng: np.random.Generator) -> SrnnParams:
     return SrnnParams(
         w=rng.normal(0.0, std, (n_h, n_h)),
@@ -392,4 +387,4 @@ def random_cwrnn(
         periods=tuple(int(x) for x in periods),
     )
     # Structural zeros outside the slower-to-faster mask.
-    return replace_blocks(p, {"w": p.w * p.recurrent_mask()})
+    return dataclasses.replace(p, w=p.w * p.recurrent_mask())

@@ -238,8 +238,7 @@ def test_criterion_6_benchmark_reproduction():
                 optimizer="wogd", eta=eta, window=w, lam=0.95, alpha=7.5,
                 out_lr_scale=8.0, out_radius=2.5,
             )
-            results = [run_single(cfg, s) for s in range(1, 31)]
-            means[w] = float(np.mean([r.mse for r in results]))
+            means[w] = float(np.mean([r.mse for r in run_many(cfg, range(1, 31))]))
         within = abs(means[200] - reference) <= 0.15 * reference
         ordered = means[200] < means[100] < means[50]
         if not (within and ordered):

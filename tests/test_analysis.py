@@ -1,5 +1,6 @@
 """Bound calculators, regret accounting, and the smoothness estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from wogd.analysis import (
     regret_bound,
     smoothness_bounds,
 )
-from wogd.models import param_blocks, random_srnn, replace_blocks
+from wogd.models import param_blocks, random_srnn
 
 
 class TestSmoothnessBounds:
@@ -187,7 +188,7 @@ class TestEstimateSmoothness:
     def test_partial_block(self):
         rng = np.random.default_rng(3)
         p0 = random_srnn(3, 2, 0.5, rng)
-        p1 = replace_blocks(p0, {"u": p0.u + 0.1})
+        p1 = dataclasses.replace(p0, u=p0.u + 0.1)
         g0 = {"w": np.zeros((3, 3)), "u": np.zeros((3, 2)), "theta_out": np.zeros(3)}
         g1 = {"w": np.zeros((3, 3)), "u": np.full((3, 2), 0.2), "theta_out": np.zeros(3)}
         [est] = estimate_smoothness(stacked(g0), stacked(g1), stacked(p0), stacked(p1))

@@ -1,10 +1,11 @@
 """Tape semantics, windowed losses, and gradient correctness checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wogd import gradients, models
@@ -23,20 +24,23 @@ from wogd.harness import ExperimentConfig, run_batch
 from wogd.models import (
     HiddenState,
     LstmGates,
+    LstmParams,
     SrnnParams,
+    clockwork,
+    elman_forward,
     lstm_forward,
     lstm_stacks,
     member_major,
     param_blocks,
+    predictions,
     random_cwrnn,
     random_lstm,
     random_srnn,
     readout,
-    replace_blocks,
     step_model,
     zero_state,
 )
-from wogd.tasks import LOSS_CROSS_ENTROPY, LOSS_SQUARED, loss_and_residual
+from wogd.tasks import CROSS_ENTROPY_CLAMP, LOSS_CROSS_ENTROPY, LOSS_SQUARED, loss_and_residual
 
 MAKERS = {
     "srnn": lambda n_h, n_x, rng: random_srnn(n_h, n_x, 0.4, rng),
@@ -72,6 +76,58 @@ def naive_smoothed_loss(tape, params, loss_kind):
         pred = readout(params, state, loss_kind)
         total += loss_and_residual(pred, d, loss_kind)[0]
     return total / len(tape)
+
+
+def reference_smoothed_loss(tape, params, loss_kind):
+    """Oracle for the member-axis loss, in its one-run form: the family's
+    forward kernel at B = 1, the (m,) readouts and one float mean."""
+    x = member_major(tape.x)
+    if isinstance(params, LstmParams):
+        blocks = {name: a[None] for name, a in param_blocks(params)}
+        h = lstm_forward(x, tape.h[0], tape.c[0], *lstm_stacks(blocks))[0][:, 0]
+    else:
+        w, active = clockwork(params.w[None], params, tape.ts)
+        h = elman_forward(x, tape.h[0][..., None], w, params.u[None], active)[:, 0, :, 0]
+    preds, d = predictions(h[1:], params.theta_out, loss_kind), tape.d[:, 0]
+    if loss_kind == LOSS_SQUARED:
+        return float(np.mean(0.5 * (preds - d) * (preds - d)))
+    p = np.clip(preds, CROSS_ENTROPY_CLAMP, 1.0 - CROSS_ENTROPY_CLAMP)
+    return float(np.mean(-d * np.log(p) - (1.0 - d) * np.log(1.0 - p)))
+
+
+def reference_fd_gradient(tape, params, eps, loss_kind):
+    """Oracle for the member-batched fd_gradient: the serial loop, one
+    reference_smoothed_loss call per probe of one entry."""
+    grads = {}
+    for name, arr in param_blocks(params):
+        work = arr.copy()
+        probe = dataclasses.replace(params, **{name: work})
+        g = np.zeros_like(work)
+        flat_w, flat_g = work.reshape(-1), g.reshape(-1)
+        for k in range(flat_w.size):
+            orig = flat_w[k]
+            flat_w[k] = orig + eps
+            up = reference_smoothed_loss(tape, probe, loss_kind)
+            flat_w[k] = orig - eps
+            down = reference_smoothed_loss(tape, probe, loss_kind)
+            flat_w[k] = orig
+            flat_g[k] = (up - down) / (2.0 * eps)
+        grads[name] = g
+    return grads
+
+
+def any_model(arch, n_h, n_x, rng):
+    """A random model of the family for any n_h: the clockwork gets three,
+    two or one block(s), the one-block case idle every other step."""
+    if arch != "cwrnn":
+        return MAKERS[arch](n_h, n_x, rng)
+    periods = (1, 2, 4) if n_h % 3 == 0 else (1, 2) if n_h % 2 == 0 else (2,)
+    return random_cwrnn(n_h, n_x, periods, 0.4, rng)
+
+
+def bitwise(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def max_rel_err(grads, oracle):
@@ -232,7 +288,7 @@ class TestReplayGradient:
     def test_zero_readout_kills_hidden_gradient(self):
         rng = np.random.default_rng(5)
         p = random_srnn(3, 2, 0.4, rng)
-        p = replace_blocks(p, {"theta_out": np.zeros(3)})
+        p = dataclasses.replace(p, theta_out=np.zeros(3))
         tape = drive(p, 6, rng)
         g = tbptt_gradient(tape, p)
         np.testing.assert_array_equal(g["w"], 0.0)
@@ -286,7 +342,7 @@ class TestReplayGradient:
         rng = np.random.default_rng(8)
         p = random_srnn(3, 2, 0.4, rng)
         tape = drive(p, 4, rng)
-        bad = replace_blocks(p, {"theta_out": np.array([np.inf, 0.0, 0.0])})
+        bad = dataclasses.replace(p, theta_out=np.array([np.inf, 0.0, 0.0]))
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
             tbptt_gradient(tape, bad)
         assert err.value.timestep == tape.t == 4
@@ -350,6 +406,61 @@ class TestFdGradient:
         np.testing.assert_allclose(f["w"], 0.0, atol=1e-12)
 
 
+class TestBatchedFdOracle:
+    """fd_gradient runs its probes as the members of one loss call per chunk
+    of entries; each member must give the serial probe's bits."""
+
+    # Blocks of 144 (lstm, cwrnn w) and 36 entries span several chunks of 32
+    # and end on a partial one; srnn n_h 8 has w of exactly two chunks.
+    @settings(max_examples=25)
+    @example(arch="lstm", kind=LOSS_SQUARED, m=30, n_h=12, n_x=5, eps=1e-5, seed=0)
+    @example(arch="cwrnn", kind=LOSS_CROSS_ENTROPY, m=23, n_h=12, n_x=5, eps=1e-5, seed=1)
+    @example(arch="srnn", kind=LOSS_SQUARED, m=30, n_h=8, n_x=4, eps=1e-6, seed=2)
+    @example(arch="srnn", kind=LOSS_CROSS_ENTROPY, m=1, n_h=6, n_x=1, eps=1e-3, seed=3)
+    @given(
+        arch=st.sampled_from(list(MAKERS)),
+        kind=st.sampled_from([LOSS_SQUARED, LOSS_CROSS_ENTROPY]),
+        m=st.integers(1, 30),
+        n_h=st.integers(1, 12),
+        n_x=st.integers(1, 5),
+        eps=st.sampled_from([1e-8, 1e-6, 1e-5, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_serial_loop(self, arch, kind, m, n_h, n_x, eps, seed):
+        rng = np.random.default_rng(seed)
+        p = any_model(arch, n_h, n_x, rng)
+        tape = drive(p, m + int(rng.integers(0, 3)), rng, kind, capacity=m)
+        got = fd_gradient(tape, p, eps, kind)
+        want = reference_fd_gradient(tape, p, eps, kind)
+        assert list(got) == list(want)
+        for name, g in want.items():
+            assert bitwise(got[name], g), name
+
+    @settings(max_examples=30)
+    @given(
+        arch=st.sampled_from(list(MAKERS)),
+        kind=st.sampled_from([LOSS_SQUARED, LOSS_CROSS_ENTROPY]),
+        batch=st.integers(1, 6),
+        m=st.integers(1, 30),
+        n_h=st.integers(1, 12),
+        n_x=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_member_losses_equal_smoothed_loss(self, arch, kind, batch, m, n_h, n_x, seed):
+        rng = np.random.default_rng(seed)
+        members = [any_model(arch, n_h, n_x, rng) for _ in range(batch)]
+        tape = drive(members[0], m + int(rng.integers(0, 3)), rng, kind, capacity=m)
+        stacks = {
+            name: np.stack([getattr(p, name) for p in members])
+            for name, _ in param_blocks(members[0])
+        }
+        losses = gradients._smoothed_loss(tape, stacks, members[0], kind)
+        assert losses.shape == (batch,)
+        for b, p in enumerate(members):
+            assert bitwise(losses[b], np.float64(smoothed_loss(tape, p, kind))), b
+            assert bitwise(losses[b], np.float64(reference_smoothed_loss(tape, p, kind))), b
+
+
 class TestGradientNormBound:
     def test_closed_form_ceiling(self):
         # For spectral norms <= lam and |theta| <= 1 with the squared loss,
@@ -404,7 +515,7 @@ class TestLockstepKernel:
             extra = int(rng.integers(0, 4))
             tapes.append(drive(p, m + extra, rng, kind, capacity=m))
             # drift the parameters so cached and replay differ
-            members[-1] = replace_blocks(p, {"w": p.w * 0.9, "theta_out": p.theta_out + 0.1})
+            members[-1] = dataclasses.replace(p, w=p.w * 0.9, theta_out=p.theta_out + 0.1)
 
         x, d, pred, h = (
             np.concatenate([getattr(t, name) for t in tapes], axis=1)
@@ -445,7 +556,7 @@ class TestLockstepKernel:
             p = random_lstm(n_h, n_x, 0.4, rng)
             extra = int(rng.integers(0, 4))
             tapes.append(drive(p, m + extra, rng, kind, capacity=m))
-            members.append(replace_blocks(p, {"w_f": p.w_f * 0.9, "theta_out": p.theta_out + 0.1}))
+            members.append(dataclasses.replace(p, w_f=p.w_f * 0.9, theta_out=p.theta_out + 0.1))
         x, d, pred, h, c = (
             np.concatenate([getattr(t, name) for t in tapes], axis=1)
             for name in ("x", "d", "pred", "h", "c")
@@ -467,6 +578,9 @@ class TestLockstepKernel:
                 assert np.array_equal(got[:, b], want[:, 0])
             for name, g in tbptt_gradient(tape, p, mode, kind).items():
                 assert np.array_equal(grads[name][b], g), name
+        if mode == "replay":
+            g = tbptt_gradient(tapes[0], members[0], "replay", kind)
+            assert max_rel_err(g, fd_gradient(tapes[0], members[0], 1e-5, kind)) <= 1e-5
 
 
 class _RecordingNumpy:

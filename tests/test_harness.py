@@ -462,7 +462,7 @@ def _reference_run(cfg, seed):
                 {k: g[None] for k, g in grads.items()}, moments, t,
             )
             assert failed == [None]
-            params = models.replace_blocks(params, {k: a[0] for k, a in new.items()})
+            params = dataclasses.replace(params, **{k: a[0] for k, a in new.items()})
             continue
         grads = tbptt_gradient(tape, params, cfg.gradient_mode, cfg.loss_kind)
         # the one-run (B = 1) stacks of the parameters and gradients
@@ -485,10 +485,10 @@ def _reference_run(cfg, seed):
             ledger.beta_exp.append(None)
         new, clips, failed = wogd_step(wcfg, params, *stacks, t)
         assert failed == [None]
-        new = models.replace_blocks(params, {k: a[0] for k, a in new.items()})
+        new = dataclasses.replace(params, **{k: a[0] for k, a in new.items()})
         projections += int(clips[0])
         if sampled and cfg.record_smoothness:
-            probe = models.replace_blocks(new, {"theta_out": params.theta_out})
+            probe = dataclasses.replace(new, theta_out=params.theta_out)
             after = tbptt_gradient(tape, probe, "replay", cfg.loss_kind)
             ratios = []  # of the blocks that moved
             for k in ("w", "u"):

@@ -1,5 +1,6 @@
 """Optimizer updates, projections, and the regret-defining projected gradient."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from wogd.models import (
     random_cwrnn,
     random_lstm,
     random_srnn,
-    replace_blocks,
 )
 from wogd.optim import (
     BaselineConfig,
@@ -46,7 +46,7 @@ def one_run_step(cfg, p, g, t, moments=None):
         {} if moments is None else moments, t,
     )
     assert failed == [None]
-    return replace_blocks(p, {name: arr[0] for name, arr in new.items()})
+    return dataclasses.replace(p, **{name: arr[0] for name, arr in new.items()})
 
 
 def stacks(p, g):
@@ -58,7 +58,8 @@ def one_wogd_step(cfg, p, g, t):
     """wogd_step on the one-run stacks of p and g (B = 1): the new params,
     the clip count and the failure (or None)."""
     new, clips, failed = wogd_step(cfg, p, *stacks(p, g), t)
-    return replace_blocks(p, {name: arr[0] for name, arr in new.items()}), int(clips[0]), failed[0]
+    new = {name: arr[0] for name, arr in new.items()}
+    return dataclasses.replace(p, **new), int(clips[0]), failed[0]
 
 
 def one_projected_gradient(p, g, cfg):
