@@ -4,7 +4,8 @@ finite-difference smoothness estimator.
 The regret tracked here is the running sum over steps of
 ||projected grad wrt vec(w)||^2 + ||projected grad wrt vec(u)||^2 for the
 windowed loss; a vanishing normalized regret R(t)/t certifies convergence to
-locally optimal hidden weights.
+locally optimal hidden weights. The ledger and the smoothness estimator take
+a block of K sampled steps of B runs in one call each.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class SmoothnessEstimate:
 
 def estimate_smoothness(grad_t, grad_t1, params_t, params_t1) -> list[SmoothnessEstimate]:
     """Curvature of the same windowed loss between two parameter points, one
-    sample per member of B runs, from (B, ...) stacks keyed w and u.
+    sample per member of (N, ...) stacks keyed w and u: B runs, or K sampled
+    steps of B runs step-major (N = K * B).
 
     grad_t and grad_t1 must be gradients of one and the same windowed loss,
     evaluated at params_t and params_t1 (in particular with the same window
@@ -104,9 +106,9 @@ def estimate_smoothness(grad_t, grad_t1, params_t, params_t1) -> list[Smoothness
     """
     ratios = []
     for name in ("w", "u"):
-        moved = frobenius_norms(params_t1[name] - params_t[name])
-        change = frobenius_norms(grad_t1[name] - grad_t[name])
-        ratios.append([None if d == 0.0 else float(g) / float(d) for g, d in zip(change, moved)])
+        moved = frobenius_norms(params_t1[name] - params_t[name]).tolist()
+        change = frobenius_norms(grad_t1[name] - grad_t[name]).tolist()
+        ratios.append([None if d == 0.0 else g / d for g, d in zip(change, moved)])
     return [SmoothnessEstimate(*pair) for pair in zip(*ratios)]
 
 
@@ -136,23 +138,32 @@ class RegretLedger:
         return len(self.regret)
 
     def record_regret(self, projected_grads: dict[str, np.ndarray]) -> None:
-        """Append one entry per run from the (B, ...) stacks keyed w and u."""
-        gw = projected_grads["w"]
-        gu = projected_grads["u"]
-        sq_theta = np.sum(gw * gw, axis=(1, 2))
-        sq_mu = np.sum(gu * gu, axis=(1, 2))
-        total = (self.regret[-1] if self.regret else 0.0) + sq_theta + sq_mu
-        self.grad_sq_theta.append(sq_theta)
-        self.grad_sq_mu.append(sq_mu)
-        self.regret.append(total)
-        self.normalized.append(total / len(self.regret))
-        self.smoothness.append([None] * len(total))
+        """Append K entries per run from the (K, B, ...) stacks keyed w and u
+        of K sampled steps, or one from (B, ...) stacks. R(t) is one sequential
+        accumulate: bitwise (R(t - 1) + sq_theta) + sq_mu step by step."""
+        sq_theta, sq_mu = (
+            np.atleast_2d(np.sum(g * g, axis=(-2, -1)))
+            for g in (projected_grads["w"], projected_grads["u"])
+        )
+        k, batch = sq_theta.shape
+        rows = np.empty((2 * k + 1, batch))
+        rows[0] = self.regret[-1] if self.regret else 0.0
+        rows[1::2], rows[2::2] = sq_theta, sq_mu
+        total = np.add.accumulate(rows)[2::2]
+        self.normalized.extend(total / np.arange(len(self) + 1, len(self) + k + 1)[:, None])
+        self.grad_sq_theta.extend(sq_theta)
+        self.grad_sq_mu.extend(sq_mu)
+        self.regret.extend(total)
+        self.smoothness.extend([None] * batch for _ in range(k))
 
     def record_smoothness(self, estimates: list[SmoothnessEstimate]) -> None:
-        """Attach the runs' smoothness samples to the most recent entry."""
+        """Attach the runs' smoothness samples to the most recent entries, B
+        per entry in entry order: K * B samples fill the last K entries."""
         if not self.smoothness:
             raise ValueError("record a regret entry before its smoothness sample")
-        self.smoothness[-1] = list(estimates)
+        batch = len(self.smoothness[-1])
+        rows = [list(estimates[i : i + batch]) for i in range(0, len(estimates), batch)]
+        self.smoothness[len(self.smoothness) - len(rows) :] = rows
 
     def keep(self, members) -> None:
         """Drop every run not listed, by batch position."""
@@ -192,16 +203,22 @@ class RegretLedger:
 
 def write_csv(path, header: list[str], columns) -> None:
     """One row per index of the equal-length columns. Floats are written
-    with full repr precision; None and NaN cells are left empty."""
+    with full repr precision; None and NaN cells are left empty. A float64
+    array column is formatted in one pass, the same as cell by cell."""
+    cells = [
+        ["" if v != v else repr(v) for v in col.tolist()]
+        if isinstance(col, np.ndarray) and col.dtype == np.float64
+        else [_cell(v) for v in col]
+        for col in columns
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            cells = []
-            for val in row:
-                if val is None or (isinstance(val, float) and math.isnan(val)):
-                    cells.append("")
-                elif isinstance(val, (float, np.floating)):
-                    cells.append(repr(float(val)))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _cell(val) -> str:
+    if val is None or (isinstance(val, float) and math.isnan(val)):
+        return ""
+    if isinstance(val, (float, np.floating)):
+        return repr(float(val))
+    return str(val)

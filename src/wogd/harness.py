@@ -464,16 +464,34 @@ def _paired_windows(tape: ActivationTape, x_next: np.ndarray, d_next: np.ndarray
     elman_window_gradient call: inputs, targets, no predictions, the two
     anchors h[0] and h[1], and per-member timesteps."""
     m, batch = tape.d.shape
-    x = np.empty((m, 2 * batch, tape.x.shape[2]))
-    d = np.empty((m, 2 * batch))
-    for full, pair in ((tape.x, x), (tape.d, d)):
+    x, d = np.empty((m, 2 * batch, tape.x.shape[2])), np.empty((m, 2 * batch))
+    for full, pair, last in ((tape.x, x, x_next), (tape.d, d, d_next)):
         pair[:, :batch] = full
         pair[:-1, batch:] = full[1:]
-    x[-1, batch:] = x_next
-    d[-1, batch:] = d_next
-    h = np.concatenate([tape.h[:1], tape.h[1:2]], axis=1)
-    ts = np.repeat(np.stack([tape.ts, tape.ts + 1], axis=1), batch, axis=1)
+        pair[-1, batch:] = last
+    h = tape.h[:2].reshape(1, 2 * batch, -1)
+    ts = np.repeat(tape.ts[:, None] + [0, 1], batch, axis=1)
     return x, d, None, h, ts
+
+
+# Sampled steps whose regret and smoothness entries run_batch records at once.
+_BLOCK = 64
+
+
+def _record_block(ledger, block: list, opt: WogdConfig) -> None:
+    """Record the entries of the K sampled steps in block, each (parameters
+    before the update, gradients, probe gradients or None, parameters after)
+    of B runs, with one call each over (K * B, ...) stacks: bitwise the calls
+    step by step. Empties block."""
+    before, grads, after, new = (
+        None if part[0] is None else {k: np.concatenate([p[k] for p in part]) for k in part[0]}
+        for part in zip(*block)
+    )
+    projected = projected_gradient(before, grads, opt)
+    ledger.record_regret({k: g.reshape(len(block), -1, *g.shape[1:]) for k, g in projected.items()})
+    if after is not None:
+        ledger.record_smoothness(analysis.estimate_smoothness(grads, after, before, new))
+    block.clear()
 
 
 @_quiet_divergence
@@ -494,13 +512,16 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     update every block. WOGD descends the window's mean loss; its
     instrumentation runs over the member stacks: at every step the
     closed-form gradient ceiling (an AssertionError when violated), and on
-    every regret_every-th step the projected-gradient regret entry before the
-    update and, after it, the smoothness probe, which replays the window at
-    the new hidden weights and the old output weights. Step t + 1's replay
-    runs at the same hidden weights, so once the window is full and before
-    the last step that call also replays the next window (one step on, from
-    the next anchor, at the new output weights) as B more members, and step
-    t + 1 takes its gradient from there instead of calling the kernel again.
+    every regret_every-th step the smoothness probe after the update, which
+    replays the window at the new hidden weights and the old output weights.
+    Step t + 1's replay runs at the same hidden weights, so once the window
+    is full and before the last step that call also replays the next window
+    (one step on, from the next anchor, at the new output weights) as B more
+    members, and step t + 1 takes its gradient from there instead of calling
+    the kernel again. A sampled step only keeps its stacks (parameters before
+    and after the update, gradients, probe gradients); the regret and
+    smoothness entries are computed from them a block at a time, every
+    _BLOCK sampled steps and before any member leaves (the last step too).
 
     A member leaves the batch when it reaches the binary-addition horizon or
     when its gradient, update, smoothness probe or loss turns non-finite; the
@@ -538,6 +559,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
     order = np.arange(len(seeds))  # seed position of each batch member
     pending = None  # step t + 1's (grads, failed), replayed in step t's probe call
+    block: list = []  # the sampled steps whose ledger entries are not recorded yet
     losses = np.empty((total, len(seeds)))
     projections = np.zeros(len(seeds), dtype=np.int64)
     consec = np.zeros(len(seeds), dtype=np.int64)
@@ -572,14 +594,12 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         if wogd:  # a member whose gradient failed leaves, its ledger rows with it
             if cfg.check_gradient_bounds:
                 _gradient_bound_check(params, grads, failed, cfg, t)
-            if sampled:
-                ledger.record_regret(projected_gradient(params, grads, opt))
             params, clips, bad = wogd_step(opt, template, params, grads, t)
             projections += clips
         else:
             params, bad = baseline_step(opt, params, grads, moments, t)
 
-        probe_failed = [None] * len(order)
+        probe_failed, after = [None] * len(order), None
         if probing:
             # the same windowed loss at (new w, new u, old theta_out)
             w, u, theta = params["w"], params["u"], params["theta_out"]
@@ -599,7 +619,8 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                     tape, {**params, "theta_out": before["theta_out"]}, template, "replay",
                     loss_kind, weights,
                 )
-            ledger.record_smoothness(analysis.estimate_smoothness(grads, after, before, params))
+        if sampled:
+            block.append((before, grads, after, params))
 
         if squared:
             r = pred - d_t
@@ -625,6 +646,8 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             done = [(b, t, t - cfg.horizon + 1) for b in np.flatnonzero(consec >= cfg.horizon)]
         if t == total:
             done += [(b, t, None) for b in range(len(order))]
+        if block and (leaving or done or len(block) == _BLOCK):  # before rows are read or kept
+            _record_block(ledger, block, opt)
         for b, steps_run, sustainable_t in done:
             if b not in leaving:
                 finished[int(order[b])] = (
@@ -645,10 +668,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
             if ledger is not None:
                 ledger.keep(keep)
             if pending is not None:
-                grads_next, failed_next = pending
-                pending = (
-                    {k: g[keep] for k, g in grads_next.items()}, [failed_next[b] for b in keep]
-                )
+                pending = {k: g[keep] for k, g in pending[0].items()}, [pending[1][b] for b in keep]
 
     runtime = (time.perf_counter() - started) / len(seeds)
     results = [

@@ -62,9 +62,9 @@ def clip_singular_values(m, lam: float) -> np.ndarray:
     stack, bitwise the call per matrix).
 
     Computed by clipping the singular values at lam. A matrix that already
-    satisfies the bound is returned unchanged (as a copy). When every
-    member's Frobenius norm is within the bound, they all satisfy it
-    (sigma_max <= ||A||_F) and the SVD is skipped. A clipped result's
+    satisfies the bound is returned unchanged (as a copy). A member whose
+    Frobenius norm is within the bound satisfies it (sigma_max <= ||A||_F)
+    and skips the SVD; only the others are decomposed. A clipped result's
     computed spectral norm can round above lam, so clipping it again may
     move it by rounding: the operation is idempotent to rounding, not
     bitwise.
@@ -72,14 +72,16 @@ def clip_singular_values(m, lam: float) -> np.ndarray:
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     a = _as_matrix(m, (2, 3))
-    stack = a.reshape(-1, *a.shape[-2:])
+    out = a.reshape(-1, *a.shape[-2:]).copy()
     # The computed sigma_max can exceed the computed Frobenius norm by a few
     # ulps (rank-one inputs); the slack keeps the exit bitwise the SVD path.
-    if (frobenius_norms(stack) <= lam * (1.0 - 1e-12)).all():
-        return a.copy()
-    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
-    clipped = (u * np.minimum(sigma, lam)[:, None]) @ vt
-    return np.where((sigma[:, 0] > lam)[:, None, None], clipped, stack).reshape(a.shape)
+    big = frobenius_norms(out) > lam * (1.0 - 1e-12)
+    if big.any():
+        stack = out[big]
+        u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+        clipped = (u * np.minimum(sigma, lam)[:, None]) @ vt
+        out[big] = np.where((sigma[:, 0] > lam)[:, None, None], clipped, stack)
+    return out.reshape(a.shape)
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ c/sqrt(t) schedule on the l2 ball.
 The regret bookkeeping uses `projected_gradient`, which always performs the
 true spectral projection (no alpha shortcut): that quantity defines the
 regret, while the lazy trigger is only a cost optimization of the parameter
-update path.
+update path. It runs off that path, once per block of sampled steps over
+their (K * B, ...) stacks.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from wogd.analysis import (
     estimate_smoothness,
     regret_bound,
     smoothness_bounds,
+    write_csv,
 )
 from wogd.models import param_blocks, random_srnn
 
@@ -277,3 +278,97 @@ class TestStackedInstrumentation:
         for b in range(batch):
             want = serial_smoothness(member(g0, b), member(g1, b), member(p0, b), member(p1, b))
             assert repr(got[b]) == repr(want), b
+
+
+class TestLedgerBlocks:
+    """run_batch records K sampled steps of B runs with one call each: a
+    (K, B, ...) record_regret and K * B smoothness samples are bit for bit
+    the K one-step calls."""
+
+    @settings(max_examples=150)
+    @given(
+        steps=st.integers(1, 70),
+        batch=st.integers(1, 5),
+        earlier=st.integers(0, 3),
+        n_h=st.integers(1, 6),
+        n_x=st.integers(1, 4),
+        exponent=st.sampled_from([-300, -150, -1, 0, 1, 150, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_block_equals_one_step_calls(self, steps, batch, earlier, n_h, n_x, exponent, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw():  # entries from 0 up to 1e+-300, squares overflowing to inf
+            out = {}
+            for k, shape in (("w", (n_h, n_h)), ("u", (n_h, n_x))):
+                scale = 10.0 ** (exponent + rng.integers(-3, 4, batch))
+                a = rng.normal(size=(batch,) + shape) * scale[:, None, None]
+                a[rng.random(batch) < 0.2] = 0.0
+                out[k] = a
+            return out
+
+        head = [draw() for _ in range(earlier)]  # entries before the block: R_prev
+        block = [draw() for _ in range(steps)]
+        one, blocked = RegretLedger(), RegretLedger()
+        for pg in head:
+            one.record_regret(pg)
+            blocked.record_regret(pg)
+        for pg in block:
+            one.record_regret(pg)
+        blocked.record_regret({k: np.stack([pg[k] for pg in block]) for k in ("w", "u")})
+        assert len(blocked) == len(one) == earlier + steps
+        for name in RegretLedger.NUMERIC:
+            assert repr(getattr(blocked, name)) == repr(getattr(one, name)), name
+        assert blocked.smoothness == one.smoothness == [[None] * batch] * (earlier + steps)
+
+    def test_block_of_smoothness_samples_fills_last_entries(self):
+        led = RegretLedger()
+        pg = {"w": np.ones((3, 2, 2, 2)), "u": np.ones((3, 2, 2, 1))}  # K = 3, B = 2
+        led.record_regret(pg)
+        samples = [SmoothnessEstimate(float(i), None) for i in range(4)]
+        led.record_smoothness(samples)  # the last two entries
+        assert led.smoothness == [[None, None], samples[:2], samples[2:]]
+        led.record_smoothness(samples[:2])  # one step: the newest entry
+        assert led.smoothness[-1] == samples[:2]
+        assert led.member(1).beta_exp == [None, 1.0, 1.0]
+
+
+def per_cell_csv(header, columns) -> str:
+    """The CSV text written cell by cell, as a reference: empty for None and
+    NaN, repr of float for floats, str otherwise."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        cells = []
+        for val in row:
+            if val is None or (isinstance(val, float) and math.isnan(val)):
+                cells.append("")
+            elif isinstance(val, (float, np.floating)):
+                cells.append(repr(float(val)))
+            else:
+                cells.append(str(val))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_equals_per_cell_writer(self, tmp_path):
+        special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 0.1, 1e-300, 5e-324, 1.7976931348623157e308]
+        rng = np.random.default_rng(7)
+        n = len(special) + 20
+        floats = np.concatenate([special, rng.normal(size=20) * 10.0 ** rng.integers(-20, 20, 20)])
+        with np.errstate(over="ignore"):  # the largest double is inf in float32
+            single = floats.astype(np.float32)
+        header = ["t", "f64", "f32", "scalars", "mixed", "ints", "text"]
+        columns = [
+            range(1, n + 1),
+            floats,
+            single,
+            [np.float64(v) for v in floats],
+            [None, np.nan, -0.0, float("inf"), 3, "x", np.float64(np.nan)] * 3 + [1.5] * (n - 21),
+            np.arange(n) - 5,
+            [f"s{i}" for i in range(n)],
+        ]
+        path = tmp_path / "out.csv"
+        write_csv(path, header, columns)
+        assert path.read_text(encoding="utf-8") == per_cell_csv(header, columns)

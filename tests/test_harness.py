@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wogd import gradients, harness, models, tasks
+from wogd import analysis, gradients, harness, linalg, models, optim, tasks
 from wogd.cli import main as cli_main
 from wogd.gradients import ActivationTape, NumericOverflowError, instant_gradient, tbptt_gradient
 from wogd.harness import (
@@ -417,6 +418,93 @@ class TestRunBatch:
 
     def test_empty_seed_list(self):
         assert run_batch(_synthetic(), ()) == []
+
+
+BLOCK = harness._BLOCK
+
+
+class TestLedgerBlocks:
+    """run_batch records the regret and smoothness entries of up to BLOCK
+    sampled steps at once, and before any member leaves: the entries are the
+    ones the loop step by step would record, at every block boundary."""
+
+    @pytest.mark.parametrize(
+        "every,steps",
+        [(1, 30), (1, BLOCK), (1, BLOCK + 1), (5, 5 * (BLOCK + 7) - 2)],
+        ids=["shorter-than-a-block", "one-block", "one-block-and-one", "every-5-partial-last"],
+    )
+    def test_matches_reference_loop(self, every, steps):
+        cfg = _synthetic(**INSTRUMENTED, regret_every=every, steps=steps)
+        got = run_batch(cfg, (1, 2, 3))
+        for res in got:
+            assert len(res.ledger) == -(-steps // every)
+            curve, projections, ledger = _reference_run(cfg, res.seed)
+            np.testing.assert_array_equal(res.curve, curve)
+            assert res.projection_count == projections
+            for name in LEDGER_LISTS:
+                assert getattr(res.ledger, name) == getattr(ledger, name), name
+
+    @pytest.mark.parametrize(
+        "cfg,bad_steps",
+        [
+            # seed 2 diverges in the second block, seed 4 in the third
+            (_synthetic(**INSTRUMENTED, steps=200), {2: 70, 4: 130}),
+            (_synthetic(**INSTRUMENTED, steps=200, regret_every=3), {2: 70, 4: 130}),
+            # members reach the horizon at t = 28, 122, 145, 224 and 238
+            (ExperimentConfig(task="binary_add", model="srnn", n_h=8, optimizer="wogd", eta=0.5,
+                              window=10, horizon=12, cutoff=700, regret_every=3, **INSTRUMENTED),
+             None),
+        ],
+        ids=["diverging", "diverging-every-3", "binary-add-every-3"],
+    )
+    def test_members_leaving_mid_block_match_run_single(self, cfg, bad_steps, monkeypatch):
+        if bad_steps:
+            monkeypatch.setattr(tasks, "synthetic_regression_stream", _exploding_targets(bad_steps))
+        seeds = (1, 2, 3, 4, 5)
+        try:
+            got, diverged = run_batch(cfg, seeds), {}
+        except DivergedSeedsError as exc:
+            got, diverged = exc.results, exc.diverged
+        assert sorted(diverged) == sorted(bad_steps or ())
+        for seed, exc in diverged.items():
+            want = _outcome(lambda: run_single(cfg, seed))
+            assert (exc.timestep, exc.what) == (want.timestep, want.what)
+            assert exc.timestep == bad_steps[seed]
+        assert_same_runs(got, [run_single(cfg, res.seed) for res in got])
+        if not bad_steps:
+            assert len({res.steps for res in got}) == len(seeds)
+
+    def test_instrumented_run_calls_every_traced_function(self, monkeypatch):
+        # the benchmark's tracer times these by name, in every wogd module
+        # that binds them; a layer whose functions go uncalled reads 0
+        counts = dict.fromkeys(
+            ["projected_gradient", "estimate_smoothness", "record_regret", "clip_singular_values"], 0
+        )
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            analysis.RegretLedger, "record_regret",
+            counting("record_regret", analysis.RegretLedger.record_regret),
+        )
+        for fn in (optim.projected_gradient, analysis.estimate_smoothness,
+                   linalg.clip_singular_values):
+            wrapped = counting(fn.__name__, fn)
+            for name, module in list(sys.modules.items()):
+                if name == "wogd" or name.startswith("wogd."):
+                    for key, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, key, wrapped)
+        run_batch(_synthetic(**INSTRUMENTED, steps=BLOCK + 1), (1, 2))
+        assert all(counts.values()), counts
+        # one call per block of sampled steps, none per step
+        assert counts["projected_gradient"] == counts["record_regret"] == 2
+        assert counts["estimate_smoothness"] == 2
 
 
 def _reference_run(cfg, seed):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from wogd.linalg import (
     clip_singular_values,
+    frobenius_norms,
     project_l2_ball,
     spectral_norm,
     svd,
@@ -320,6 +321,65 @@ class TestStackedClip:
             stack[data.draw(st.integers(0, batch - 1))].flat[0] = poison
             with pytest.raises(ValueError, match="non-finite"):
                 clip_singular_values(stack, lam)
+
+
+    @settings(max_examples=100)
+    @given(
+        data=st.data(),
+        batch=st.integers(2, 70),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_stack_decomposes_only_members_past_the_exit(self, data, batch, shape, seed):
+        # members within the Frobenius exit, past it with sigma_max <= lam,
+        # past the bound, and at the edges clip_cases draws, in one stack
+        rng = np.random.default_rng(seed)
+        lam = data.draw(st.floats(0.1, 5.0))
+        stack = rng.normal(size=(batch,) + shape)
+        for b, kind in enumerate(rng.integers(0, 4, batch)):
+            if kind == 3:
+                m, at = data.draw(clip_cases(shape=shape))
+                stack[b] = m * (lam / at)
+                continue
+            norm = np.linalg.norm(stack[b]) if kind == 0 else spectral_norm(stack[b])
+            stack[b] *= (0.5, 0.99, 2.0)[kind] * lam / norm
+        decomposed = []
+        real = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            decomposed.append(len(a))
+            return real(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", counting)
+            got = clip_singular_values(stack, lam)
+        past = frobenius_norms(stack) > lam * (1.0 - 1e-12)
+        assert decomposed == ([int(past.sum())] if past.any() else [])
+        for b, m in enumerate(stack):
+            want = clip_singular_values(m, lam)
+            assert np.array_equal(got[b], want), b
+            assert np.array_equal(want, svd_clip_reference(m, lam)), b
+
+
+class TestFrobeniusNorms:
+    """One dot product per member: a stack's norms are bitwise those of its
+    members alone and np.linalg.norm, however the members are grouped."""
+
+    @settings(max_examples=150)
+    @given(
+        count=st.integers(1, 70),
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @np.errstate(over="ignore")
+    def test_stack_equals_members_alone(self, count, shape, seed):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-300, 301, count)[:, None, None]
+        stack = rng.normal(size=(count,) + shape) * scales
+        got = frobenius_norms(stack)
+        for b, m in enumerate(stack):
+            assert repr(got[b]) == repr(frobenius_norms(m[None])[0]), b
+            assert repr(got[b]) == repr(np.linalg.norm(m)), b
 
 
 class TestProjectL2Ball:
