@@ -41,7 +41,6 @@ from .models import (
     clockwork,
     elman_forward,
     lstm_forward,
-    lstm_stacks,
     member_major,
     param_blocks,
     predictions,
@@ -348,15 +347,7 @@ def _lstm_backward(w, theta, hb, c_prev, gi, gf, go, gg, tc, xb, resid_w) -> dic
     dab = member_major(da)
     g_w = np.matmul(dab.swapaxes(1, 2), hb[:, :-1])
     g_u = np.matmul(dab.swapaxes(1, 2), xb)
-    g_b = da.sum(axis=0)
-    out: dict[str, np.ndarray] = {}
-    for k, gate in enumerate("ifog"):
-        sl = slice(k * n_h, (k + 1) * n_h)
-        out[f"w_{gate}"] = g_w[:, sl]
-        out[f"u_{gate}"] = g_u[:, sl]
-        out[f"b_{gate}"] = g_b[:, sl]
-    out["theta_out"] = g_out
-    return out
+    return {"w": g_w, "u": g_u, "b": da.sum(axis=0), "theta_out": g_out}
 
 
 def lstm_window_gradient(
@@ -374,10 +365,9 @@ def lstm_window_gradient(
     quantity (states, cells, then the gradient blocks in order) or None.
     """
     xb = member_major(x)
-    w, u, b = lstm_stacks(params)
-    theta = params["theta_out"]
+    w, theta = params["w"], params["theta_out"]
     if mode == "replay":
-        h, c, gi, gf, go, gg, tc = lstm_forward(xb, h[0], c[0], w, u, b)
+        h, c, gi, gf, go, gg, tc = lstm_forward(xb, h[0], c[0], w, params["u"], params["b"])
     else:
         gi, gf, go, gg = gates
         tc = np.tanh(c[1:])
@@ -430,7 +420,8 @@ def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.n
     xb = np.repeat(member_major(tape.x), batch, axis=0)
     h0 = np.repeat(tape.h[0], batch, axis=0)
     if isinstance(family, LstmParams):
-        h = lstm_forward(xb, h0, np.repeat(_cells(tape)[0], batch, axis=0), *lstm_stacks(blocks))[0]
+        c0 = np.repeat(_cells(tape)[0], batch, axis=0)
+        h = lstm_forward(xb, h0, c0, blocks["w"], blocks["u"], blocks["b"])[0]
     elif isinstance(family, (SrnnParams, CwrnnParams)):
         w, active = clockwork(blocks["w"], family, tape.ts)
         h = elman_forward(xb, h0[..., None], w, blocks["u"], active)[..., 0]

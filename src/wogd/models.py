@@ -10,8 +10,10 @@ Each family has one forward kernel over a window of m steps of B runs:
 ``lstm_forward``; ``predictions`` is the one readout. The online step
 ``online_step`` is the m = 1 case of its family's kernel, ``step_model`` its
 one-run case and ``readout`` the m = 1 case of ``predictions``, so the online
-loop and the replay of a window run the same recurrence. Parameters and
-states are treated as immutable values; every step returns a fresh state.
+loop and the replay of a window run the same recurrence. LstmParams hold
+the gate stacks lstm_forward takes, gates in the order i, f, o, g.
+Parameters and states are treated as immutable values; every step returns a
+fresh state.
 """
 
 from __future__ import annotations
@@ -84,41 +86,31 @@ class SrnnParams:
 class LstmParams:
     """LSTM without peephole connections; sigmoid gates, tanh candidate/output.
 
-    Each gate has a recurrent matrix (n_h x n_h), an input matrix (n_h x n_x)
-    and a bias vector (n_h,). theta_out is the linear readout.
+    The gates are stacked in the order i, f, o, g (input, forget, output,
+    candidate), n_h rows each, as lstm_forward takes them: the recurrent
+    matrices w (4 n_h, n_h), the input matrices u (4 n_h, n_x) and the
+    biases b (4 n_h,). theta_out is the linear readout.
     """
 
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
-    w_g: np.ndarray
-    u_g: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
     theta_out: np.ndarray
 
     def __post_init__(self):
-        n_h, n_x = self.u_i.shape
-        for gate in "ifog":
-            w = getattr(self, f"w_{gate}")
-            u = getattr(self, f"u_{gate}")
-            b = getattr(self, f"b_{gate}")
-            if w.shape != (n_h, n_h) or u.shape != (n_h, n_x) or b.shape != (n_h,):
-                raise ValueError(f"inconsistent shapes for gate '{gate}'")
-        _check_vec("theta_out", self.theta_out, n_h)
+        n_h, n_x = self.w.shape[-1], self.u.shape[-1]
+        shapes = {"w": (4 * n_h, n_h), "u": (4 * n_h, n_x), "b": (4 * n_h,), "theta_out": (n_h,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
 
     @property
     def n_h(self) -> int:
-        return self.u_i.shape[0]
+        return self.w.shape[1]
 
     @property
     def n_x(self) -> int:
-        return self.u_i.shape[1]
+        return self.u.shape[1]
 
 
 @dataclass(frozen=True)
@@ -256,22 +248,13 @@ def elman_forward(
     return h
 
 
-def lstm_stacks(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recurrent (..., 4 n_h, n_h) and input (..., 4 n_h, n_x) matrices and
-    biases (..., 4 n_h) of the gates stacked in the order i, f, o, g, from
-    LSTM blocks keyed like param_blocks: one run's or (B, ...) stacks."""
-    return tuple(
-        np.concatenate([blocks[f"{k}_{gate}"] for gate in "ifog"], axis=-1 if k == "b" else -2)
-        for k in "wub"
-    )
-
-
 def lstm_forward(
     xb: np.ndarray, h0: np.ndarray, c0: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray
 ):
     """Run the LSTM over the member-major inputs xb (B|1, m, n_x) from the
     states h0 and cells c0 (B, n_h), with the gate stacks w (B, 4 n_h, n_h),
-    u (B, 4 n_h, n_x) and b (B, 4 n_h) of lstm_stacks.
+    u (B, 4 n_h, n_x) and b (B, 4 n_h) of B LstmParams, gates in the order
+    i, f, o, g.
 
     Returns the states h and cells c (m + 1, B, n_h), with h[0] = h0 and
     c[0] = c0, and per step the gates i, f, o, g and tanh(c_t), (m, B, n_h).
@@ -313,7 +296,7 @@ def online_step(family, blocks, x: np.ndarray, h: np.ndarray, c: np.ndarray | No
     states h and, for the LSTM, cells c (B, n_h). Returns the new states
     (B, n_h) and, for the LSTM, the step's gates as (B, n_h) arrays."""
     if isinstance(family, LstmParams):
-        h, c, i, f, o, g, _ = lstm_forward(x[:, None], h, c, *lstm_stacks(blocks))
+        h, c, i, f, o, g, _ = lstm_forward(x[:, None], h, c, blocks["w"], blocks["u"], blocks["b"])
         return h[1], LstmGates(i=i[0], f=f[0], o=o[0], g=g[0], c_new=c[1])
     if not isinstance(family, (SrnnParams, CwrnnParams)):
         raise TypeError(f"unknown parameter type {type(family).__name__}")
@@ -364,13 +347,12 @@ def random_srnn(n_h: int, n_x: int, std: float, rng: np.random.Generator) -> Srn
 
 
 def random_lstm(n_h: int, n_x: int, std: float, rng: np.random.Generator) -> LstmParams:
-    # Biases drawn like the weights; draw order fixed by field order.
-    vals = {}
-    for gate in "ifog":
-        vals[f"w_{gate}"] = rng.normal(0.0, std, (n_h, n_h))
-        vals[f"u_{gate}"] = rng.normal(0.0, std, (n_h, n_x))
-        vals[f"b_{gate}"] = rng.normal(0.0, std, n_h)
-    return LstmParams(theta_out=rng.normal(0.0, std, n_h), **vals)
+    # Biases drawn like the weights. Draw order: w, u, b of each gate in the
+    # order i, f, o, g, then theta_out; the gates' draws are stacked.
+    shapes = ((n_h, n_h), (n_h, n_x), n_h)
+    draws = [[rng.normal(0.0, std, shape) for shape in shapes] for _ in "ifog"]
+    w, u, b = (np.concatenate(gates) for gates in zip(*draws))
+    return LstmParams(w=w, u=u, b=b, theta_out=rng.normal(0.0, std, n_h))
 
 
 def random_cwrnn(

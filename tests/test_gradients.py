@@ -29,7 +29,6 @@ from wogd.models import (
     clockwork,
     elman_forward,
     lstm_forward,
-    lstm_stacks,
     member_major,
     param_blocks,
     predictions,
@@ -83,8 +82,8 @@ def reference_smoothed_loss(tape, params, loss_kind):
     forward kernel at B = 1, the (m,) readouts and one float mean."""
     x = member_major(tape.x)
     if isinstance(params, LstmParams):
-        blocks = {name: a[None] for name, a in param_blocks(params)}
-        h = lstm_forward(x, tape.h[0], tape.c[0], *lstm_stacks(blocks))[0][:, 0]
+        stacks = (params.w[None], params.u[None], params.b[None])
+        h = lstm_forward(x, tape.h[0], tape.c[0], *stacks)[0][:, 0]
     else:
         w, active = clockwork(params.w[None], params, tape.ts)
         h = elman_forward(x, tape.h[0][..., None], w, params.u[None], active)[:, 0, :, 0]
@@ -556,7 +555,9 @@ class TestLockstepKernel:
             p = random_lstm(n_h, n_x, 0.4, rng)
             extra = int(rng.integers(0, 4))
             tapes.append(drive(p, m + extra, rng, kind, capacity=m))
-            members.append(dataclasses.replace(p, w_f=p.w_f * 0.9, theta_out=p.theta_out + 0.1))
+            w = p.w.copy()
+            w[n_h : 2 * n_h] *= 0.9  # the forget gate's rows
+            members.append(dataclasses.replace(p, w=w, theta_out=p.theta_out + 0.1))
         x, d, pred, h, c = (
             np.concatenate([getattr(t, name) for t in tapes], axis=1)
             for name in ("x", "d", "pred", "h", "c")
@@ -566,14 +567,14 @@ class TestLockstepKernel:
             name: np.stack([getattr(p, name) for p in members])
             for name, _ in param_blocks(members[0])
         }
-        forward = lstm_forward(member_major(x), h[0], c[0], *lstm_stacks(params))
+        forward = lstm_forward(member_major(x), h[0], c[0], params["w"], params["u"], params["b"])
         grads, failed = lstm_window_gradient(
             x, d, pred, h, c, gates, params, mode, kind, np.full(m, 1.0 / m)
         )
         assert failed == [None] * batch
         for b, (p, tape) in enumerate(zip(members, tapes)):
-            blocks = {name: a[None] for name, a in param_blocks(p)}
-            alone = lstm_forward(member_major(tape.x), tape.h[0], tape.c[0], *lstm_stacks(blocks))
+            stacks = (p.w[None], p.u[None], p.b[None])
+            alone = lstm_forward(member_major(tape.x), tape.h[0], tape.c[0], *stacks)
             for got, want in zip(forward, alone):
                 assert np.array_equal(got[:, b], want[:, 0])
             for name, g in tbptt_gradient(tape, p, mode, kind).items():
@@ -581,6 +582,43 @@ class TestLockstepKernel:
         if mode == "replay":
             g = tbptt_gradient(tapes[0], members[0], "replay", kind)
             assert max_rel_err(g, fd_gradient(tapes[0], members[0], 1e-5, kind)) <= 1e-5
+
+
+class TestLstmKernelOperands:
+    def test_parameter_stacks_reach_the_kernel(self, monkeypatch):
+        # The online step, the window kernel and the finite-difference
+        # oracle's loss hand the LSTM parameter stacks themselves to
+        # lstm_forward as its gate stacks: no conversion layer between them.
+        calls = []
+        kernel = models.lstm_forward
+
+        def recording(xb, h0, c0, w, u, b):
+            calls.append((w, u, b))
+            return kernel(xb, h0, c0, w, u, b)
+
+        rng = np.random.default_rng(29)
+        p = random_lstm(3, 2, 0.4, rng)
+        tape = drive(p, 6, rng, capacity=4)
+        monkeypatch.setattr(models, "lstm_forward", recording)
+        monkeypatch.setattr(gradients, "lstm_forward", recording)
+        one = {name: a[None] for name, a in param_blocks(p)}
+        two = {name: np.stack([a, 0.5 * a]) for name, a in param_blocks(p)}
+        x, h, c = rng.uniform(-1.0, 1.0, (2, 2)), np.zeros((2, 3)), np.zeros((2, 3))
+        weights = np.full(4, 0.25)
+        runs = [
+            (two, lambda: models.online_step(p, two, x, h, c, 7)),
+            (one, lambda: lstm_window_gradient(
+                tape.x, tape.d, tape.pred, tape.h, tape.c, tape.gates, one, "replay",
+                LOSS_SQUARED, weights,
+            )),
+            (two, lambda: gradients._smoothed_loss(tape, two, p, LOSS_SQUARED)),
+        ]
+        for blocks, run in runs:
+            calls.clear()
+            run()
+            assert len(calls) == 1
+            w, u, b = calls[0]
+            assert w is blocks["w"] and u is blocks["u"] and b is blocks["b"]
 
 
 class _RecordingNumpy:

@@ -17,7 +17,6 @@ from wogd.models import (
     clockwork,
     elman_forward,
     lstm_forward,
-    lstm_stacks,
     member_major,
     param_blocks,
     random_cwrnn,
@@ -54,6 +53,19 @@ def scalar_dot(a, b):
 
 def scalar_sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def reference_random_lstm(n_h, n_x, std, rng):
+    """The per-gate draw random_lstm stacks: blocks w_k (n_h, n_h),
+    u_k (n_h, n_x) and b_k (n_h,) drawn gate by gate in the order i, f, o, g,
+    then theta_out (n_h,)."""
+    vals = {}
+    for gate in "ifog":
+        vals[f"w_{gate}"] = rng.normal(0.0, std, (n_h, n_h))
+        vals[f"u_{gate}"] = rng.normal(0.0, std, (n_h, n_x))
+        vals[f"b_{gate}"] = rng.normal(0.0, std, n_h)
+    vals["theta_out"] = rng.normal(0.0, std, n_h)
+    return vals
 
 
 class TestSrnn:
@@ -135,16 +147,9 @@ class TestLstm:
     def test_forget_gate_saturation(self):
         rng = np.random.default_rng(0)
         p = random_lstm(3, 2, 0.0, rng)
-        p = LstmParams(
-            **{
-                f"{k}_{g}": getattr(p, f"{k}_{g}")
-                for g in "ifog"
-                for k in ("w", "u")
-            },
-            b_i=p.b_i, b_o=p.b_o, b_g=p.b_g,
-            b_f=np.full(3, 50.0),
-            theta_out=p.theta_out,
-        )
+        b = p.b.copy()
+        b[3:6] = 50.0  # the forget gate's rows
+        p = LstmParams(w=p.w, u=p.u, b=b, theta_out=p.theta_out)
         c = np.ones(3)
         s, _ = step_model(p, HiddenState(h=np.zeros(3), t=0, c=c), np.zeros(2))
         np.testing.assert_allclose(s.c, c, atol=1e-15)
@@ -158,10 +163,11 @@ class TestLstm:
             x = rng.uniform(-1, 1, 2)
             s, gates = step_model(p, HiddenState(h=h, t=2, c=c), x)
             for idx in range(3):
-                zi = scalar_dot(p.w_i[idx], h) + scalar_dot(p.u_i[idx], x) + p.b_i[idx]
-                zf = scalar_dot(p.w_f[idx], h) + scalar_dot(p.u_f[idx], x) + p.b_f[idx]
-                zo = scalar_dot(p.w_o[idx], h) + scalar_dot(p.u_o[idx], x) + p.b_o[idx]
-                zg = scalar_dot(p.w_g[idx], h) + scalar_dot(p.u_g[idx], x) + p.b_g[idx]
+                # gate k's unit idx is row k * n_h + idx of the stacks
+                zi, zf, zo, zg = (
+                    scalar_dot(p.w[row], h) + scalar_dot(p.u[row], x) + p.b[row]
+                    for row in (k * 3 + idx for k in range(4))
+                )
                 ci = scalar_sigmoid(zf) * c[idx] + scalar_sigmoid(zi) * math.tanh(zg)
                 hi = scalar_sigmoid(zo) * math.tanh(ci)
                 assert s.c[idx] == pytest.approx(ci, abs=1e-14)
@@ -172,6 +178,34 @@ class TestLstm:
         p = random_lstm(3, 2, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             step_model(p, HiddenState(h=np.zeros(3), t=0), np.zeros(2))
+
+    @settings(max_examples=60)
+    @given(
+        n_h=st.integers(1, 12),
+        n_x=st.integers(1, 6),
+        std=st.sampled_from([0.0, 0.1, 0.4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_order_equals_per_gate_reference(self, n_h, n_x, std, seed):
+        # random_lstm draws as the per-gate reference does and stacks the
+        # gates in the order i, f, o, g: every seed's weights, bitwise.
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = random_lstm(n_h, n_x, std, rng)
+        ref = reference_random_lstm(n_h, n_x, std, ref_rng)
+        for k in "wub":
+            want = np.concatenate([ref[f"{k}_{gate}"] for gate in "ifog"])
+            assert getattr(p, k).tobytes() == want.tobytes(), k
+        assert p.theta_out.tobytes() == ref["theta_out"].tobytes()
+        assert rng.random() == ref_rng.random()  # the same number of draws
+
+    @pytest.mark.parametrize("name", ["w", "u", "b", "theta_out"])
+    def test_rejects_bad_blocks(self, name):
+        blocks = dict(param_blocks(random_lstm(3, 2, 0.1, np.random.default_rng(8))))
+        assert LstmParams(**blocks).n_h == 3
+        a = blocks[name]
+        for bad in (a[:-1], np.concatenate([a, a[:1]]), a[..., None]):
+            with pytest.raises(ValueError, match=f"^{name} has shape"):
+                LstmParams(**{**blocks, name: bad})
 
 
 class TestCwrnn:
@@ -330,8 +364,8 @@ class TestOnlineStepIsWindowCase:
         p = random_lstm(n_h, n_x, 0.4, rng)
         x = rng.uniform(-1.0, 1.0, (m, n_x))
         h0, c0 = rng.uniform(-1.0, 1.0, n_h), rng.normal(size=n_h)
-        blocks = {name: a[None] for name, a in param_blocks(p)}
-        h, c, gi, gf, go, gg, _ = lstm_forward(x[None], h0[None], c0[None], *lstm_stacks(blocks))
+        stacks = (p.w[None], p.u[None], p.b[None])
+        h, c, gi, gf, go, gg, _ = lstm_forward(x[None], h0[None], c0[None], *stacks)
         state = HiddenState(h=h0, t=0, c=c0)
         for i in range(m):
             state, gates = step_model(p, state, x[i])

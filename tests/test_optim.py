@@ -338,7 +338,7 @@ class TestBaselineStep:
         rng = np.random.default_rng(10)
         runs = [random_lstm(2, 3, 0.1, rng) for _ in range(3)]
         grads = [{name: rng.normal(size=arr.shape) for name, arr in param_blocks(p)} for p in runs]
-        grads[1]["u_f"][0, 0] = np.inf
+        grads[1]["u"][2, 0] = np.inf  # the forget gate's first row
         grads[1]["theta_out"][0] = np.nan
         for kind in ("sgd", "rmsprop", "adam"):
             cfg = BaselineConfig(kind=kind, learning_rate=0.01)
@@ -348,7 +348,7 @@ class TestBaselineStep:
             for t in (1, 2, 3):
                 with np.errstate(invalid="ignore"):
                     stacks, failed = baseline_step(cfg, stacks, g, moments, t)
-                assert failed == [None, "update of block 'u_f'", None]
+                assert failed == [None, "update of block 'u'", None]
                 alone = [
                     one_run_step(cfg, p, grads[b], t, mom)
                     for p, b, mom in zip(alone, (0, 2), alone_moments)
