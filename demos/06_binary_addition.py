@@ -2,8 +2,8 @@
 
 The model watches one column of a running binary addition per step and must
 emit the sum bit; getting it right requires carrying state across time. The
-run stops at "sustainable prediction": the first step that opens an
-error-free stretch of 1000 decisions.
+run stops at "sustainable prediction": the first step of an error-free
+stretch of 1000 decisions that completes within the cutoff.
 """
 
 import numpy as np

@@ -75,7 +75,6 @@ from .tasks import (
     load_csv_stream,
     loss_and_residual,
     scaled_stream,
-    sustainable_prediction,
     synthetic_regression_stream,
 )
 

@@ -90,10 +90,6 @@ class SmoothnessEstimate:
         vals = [v for v in (self.beta_theta, self.beta_mu) if v is not None]
         return max(vals) if vals else None
 
-    @property
-    def skipped(self) -> bool:
-        return self.beta_theta is None and self.beta_mu is None
-
 
 def estimate_smoothness(grad_t, grad_t1, params_t, params_t1) -> list[SmoothnessEstimate]:
     """Curvature of the same windowed loss between two parameter points, one
@@ -116,9 +112,9 @@ class RegretLedger:
     """Running sums of squared projected-gradient norms, one entry per step.
 
     Also carries the per-step smoothness samples when the run records them,
-    so a single CSV export holds both instrumentation channels. When a run
-    samples every k-th step instead of every step, entries are per sample and
-    the normalized column divides by the sample count.
+    so one ledger holds both instrumentation channels. When a run samples
+    every k-th step instead of every step, entries are per sample and the
+    normalized column divides by the sample count.
 
     It records the B runs of a lockstep batch at once, an entry being a (B,)
     row (a list of B samples for smoothness); the readers below take the
@@ -186,19 +182,6 @@ class RegretLedger:
 
     def beta_exp_values(self) -> np.ndarray:
         return np.asarray([b for b in self.beta_exp if b is not None], dtype=np.float64)
-
-    def beta_block_values(self, block: str) -> np.ndarray:
-        """Defined per-step samples for one block ('theta' or 'mu')."""
-        vals = [getattr(e, f"beta_{block}") for e in self.smoothness if e is not None]
-        return np.asarray([v for v in vals if v is not None], dtype=np.float64)
-
-    def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["t", "grad_sq_theta", "grad_sq_mu", "regret", "normalized_regret", "beta_exp"],
-            [range(1, len(self) + 1), self.grad_sq_theta, self.grad_sq_mu, self.regret,
-             self.normalized, self.beta_exp],
-        )
 
 
 def write_csv(path, header: list[str], columns) -> None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from .models import (
-    CwrnnParams,
     LstmGates,
     LstmParams,
     SrnnParams,
@@ -248,7 +247,7 @@ def elman_window_gradient(
     mode: str,
     loss_kind: str,
     weights: np.ndarray,
-    clock: SrnnParams | CwrnnParams | None = None,
+    clock: SrnnParams | None = None,
 ) -> tuple[dict[str, np.ndarray], list[str | None]]:
     """Loss-weighted window gradients of B Elman runs in lockstep.
 
@@ -389,7 +388,7 @@ def window_gradient(tape: ActivationTape, params, family, mode: str, loss_kind: 
             tape.x, tape.d, tape.pred, tape.h, _cells(tape), tape.gates, params, mode, loss_kind,
             weights,
         )
-    if not isinstance(family, (SrnnParams, CwrnnParams)):
+    if not isinstance(family, SrnnParams):
         raise TypeError(f"unknown parameter type {type(family).__name__}")
     return elman_window_gradient(
         tape.x, tape.d, tape.pred, tape.h, tape.ts, params["w"], params["u"],
@@ -422,7 +421,7 @@ def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.n
     if isinstance(family, LstmParams):
         c0 = np.repeat(_cells(tape)[0], batch, axis=0)
         h = lstm_forward(xb, h0, c0, blocks["w"], blocks["u"], blocks["b"])[0]
-    elif isinstance(family, (SrnnParams, CwrnnParams)):
+    elif isinstance(family, SrnnParams):
         w, active = clockwork(blocks["w"], family, tape.ts)
         h = elman_forward(xb, h0[..., None], w, blocks["u"], active)[..., 0]
     else:

@@ -16,7 +16,8 @@ with a ``schema_version`` key. Recognized keys:
   features         synthetic task: raw feature count (bias gets appended)
   n_sequences      binary_add task: summand sequences, 2 or 3
   horizon          binary_add: error-free stretch defining success (1000)
-  cutoff           binary_add: max steps before reporting failure (50000)
+  cutoff           binary_add: steps run at most (50000); a run is sustainable
+                   when its horizon-long streak completes within them
   model            srnn | lstm | cwrnn
   n_h              hidden units
   periods          cwrnn clock periods, e.g. 1,2,4,8,16
@@ -641,8 +642,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
 
         done = []  # (batch position, steps run, sustainable_t)
         if binary:
-            correct = (pred > 0.5) == (d_t > 0.5)
-            consec = np.where(correct, consec + 1, 0)
+            consec = tasks.correct_streaks(consec, pred, d_t)
             done = [(b, t, t - cfg.horizon + 1) for b in np.flatnonzero(consec >= cfg.horizon)]
         if t == total:
             done += [(b, t, None) for b in range(len(order))]

@@ -11,7 +11,9 @@ Each family has one forward kernel over a window of m steps of B runs:
 ``online_step`` is the m = 1 case of its family's kernel, ``step_model`` its
 one-run case and ``readout`` the m = 1 case of ``predictions``, so the online
 loop and the replay of a window run the same recurrence. LstmParams hold
-the gate stacks lstm_forward takes, gates in the order i, f, o, g.
+the gate stacks lstm_forward takes, gates in the order i, f, o, g. A
+CwrnnParams is an SrnnParams with clock periods: the Elman triple
+(w, u, theta_out) and its shape checks are the SRNN's.
 Parameters and states are treated as immutable values; every step returns a
 fresh state.
 """
@@ -114,8 +116,9 @@ class LstmParams:
 
 
 @dataclass(frozen=True)
-class CwrnnParams:
-    """Clockwork RNN: equal-size blocks, block i active iff t % periods[i] == 0.
+class CwrnnParams(SrnnParams):
+    """Clockwork RNN: an SRNN whose equal-size blocks of hidden units have
+    clock periods, block i active iff t % periods[i] == 0.
 
     The recurrent matrix is masked so a block receives recurrent input only
     from blocks whose period is >= its own (slower-to-faster connectivity).
@@ -123,32 +126,18 @@ class CwrnnParams:
     plain SRNN.
     """
 
-    w: np.ndarray
-    u: np.ndarray
-    theta_out: np.ndarray
     periods: tuple[int, ...]
 
     def __post_init__(self):
-        n_h, n_x = self.u.shape
-        if self.w.shape != (n_h, n_h):
-            raise ValueError(f"w has shape {self.w.shape}, expected ({n_h}, {n_h})")
-        _check_vec("theta_out", self.theta_out, n_h)
+        super().__post_init__()
         if len(self.periods) < 1 or any(p < 1 for p in self.periods):
             raise ValueError("periods must be positive integers")
         if any(a > b for a, b in zip(self.periods, self.periods[1:])):
             raise ValueError("periods must be non-descending")
-        if n_h % len(self.periods) != 0:
+        if self.n_h % len(self.periods) != 0:
             raise ValueError(
-                f"n_h={n_h} not divisible by the {len(self.periods)} blocks"
+                f"n_h={self.n_h} not divisible by the {len(self.periods)} blocks"
             )
-
-    @property
-    def n_h(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.u.shape[1]
 
     @property
     def block_size(self) -> int:
@@ -298,7 +287,7 @@ def online_step(family, blocks, x: np.ndarray, h: np.ndarray, c: np.ndarray | No
     if isinstance(family, LstmParams):
         h, c, i, f, o, g, _ = lstm_forward(x[:, None], h, c, blocks["w"], blocks["u"], blocks["b"])
         return h[1], LstmGates(i=i[0], f=f[0], o=o[0], g=g[0], c_new=c[1])
-    if not isinstance(family, (SrnnParams, CwrnnParams)):
+    if not isinstance(family, SrnnParams):
         raise TypeError(f"unknown parameter type {type(family).__name__}")
     w, active = clockwork(blocks["w"], family, [t])
     return elman_forward(x[:, None], h[..., None], w, blocks["u"], active)[1, :, :, 0], None

@@ -76,7 +76,7 @@ def wogd_step(cfg: WogdConfig, family, params: dict, grads: dict, t: int):
     """
     if t < 1:
         raise ValueError(f"timestep must be >= 1, got {t}")
-    if not isinstance(family, (SrnnParams, CwrnnParams)):
+    if not isinstance(family, SrnnParams):
         raise TypeError(
             "wogd_step constrains (w, u, theta_out) parameter triples; "
             f"got {type(family).__name__}"

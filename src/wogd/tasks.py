@@ -5,6 +5,11 @@ data). Features are min-max scaled to [-1, 1] and targets to
 [-sqrt(n_h), sqrt(n_h)]; scaling statistics are computed over the full file
 before streaming. A constant 1.0 bias dimension is appended after scaling, so
 the model input size is raw features + 1.
+
+A binary-addition run is sustainable when a streak of `horizon` correct
+decisions (output > 0.5 means 1) completes within its first `cutoff` steps;
+its sustainable timestep is the streak's first step. ``correct_streaks``
+advances the streaks of B runs by one step.
 """
 
 from __future__ import annotations
@@ -121,14 +126,6 @@ class ScalingSpec:
         if span <= 0:
             return 0.0
         return (2.0 * (raw - self.target_min) / span - 1.0) * self.target_radius
-
-    def unscale_features(self, scaled: np.ndarray) -> np.ndarray:
-        span = self.feature_max - self.feature_min
-        return (scaled + 1.0) * 0.5 * span + self.feature_min
-
-    def unscale_target(self, scaled: float) -> float:
-        span = self.target_max - self.target_min
-        return (scaled / self.target_radius + 1.0) * 0.5 * span + self.target_min
 
 
 def fit_scaling(records: np.ndarray, n_h: int, target_column: int = -1) -> ScalingSpec:
@@ -252,24 +249,10 @@ def synthetic_regression_stream(
     return x, d
 
 
-def sustainable_prediction(
-    predictions,
-    targets,
-    horizon: int = 1000,
-    cutoff: int = 50_000,
-):
-    """First timestep t (1-based) followed by `horizon` consecutive correct
-    binary decisions (output > 0.5 means 1); None if no such t <= cutoff.
-    """
-    preds = np.asarray(predictions, dtype=np.float64)
-    targs = np.asarray(targets, dtype=np.float64)
-    if preds.shape != targs.shape:
-        raise ValueError("prediction and target streams must be aligned")
-    correct = (preds > 0.5) == (targs > 0.5)
-    consec = 0
-    for idx, ok in enumerate(correct):
-        consec = consec + 1 if ok else 0
-        if consec >= horizon:
-            start = idx - horizon + 2  # 1-based start of the streak
-            return start if start <= cutoff else None
-    return None
+def correct_streaks(
+    streaks: np.ndarray, predictions: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """The (B,) streaks of consecutive correct binary decisions (output > 0.5
+    means 1) of B runs after one more step with the (B,) predictions and
+    targets: one longer where the decision is correct, 0 where it is not."""
+    return np.where((predictions > 0.5) == (targets > 0.5), streaks + 1, 0)

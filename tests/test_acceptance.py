@@ -147,8 +147,9 @@ def test_criterion_3_smoothness_ceiling():
     led = res.ledger
     n_x = cfg.features + 1
     sb = smoothness_bounds(cfg.n_h, n_x, cfg.lam)
-    theta_vals = led.beta_block_values("theta")
-    mu_vals = led.beta_block_values("mu")
+    samples = [e for e in led.smoothness if e is not None]
+    theta_vals = np.array([e.beta_theta for e in samples if e.beta_theta is not None])
+    mu_vals = np.array([e.beta_mu for e in samples if e.beta_mu is not None])
     overall = led.beta_exp_values()
     assert theta_vals.size > 0 and mu_vals.size > 0
     ok_theta = bool(np.all(theta_vals <= sb.beta_theta))

@@ -143,24 +143,6 @@ class TestRegretLedger:
             assert run.normalized[-1] == pytest.approx(total / t, rel=1e-12)
         assert np.all(np.diff(led.member(0).regret) >= 0.0)
 
-    def test_csv_export(self, tmp_path):
-        led = self.make()
-        pg = {"w": np.ones((3, 3)), "u": np.ones((3, 2)), "theta_out": np.zeros(3)}
-        led.record_regret(stacked(pg))
-        led.record_regret(stacked(pg))
-        led.record_smoothness([SmoothnessEstimate(beta_theta=0.25, beta_mu=1.5)])
-        path = tmp_path / "ledger.csv"
-        led.member(0).to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,grad_sq_theta,grad_sq_mu,regret,normalized_regret,beta_exp"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert float(first[1]) == 9.0
-        assert float(first[2]) == 6.0
-        assert first[5] == ""  # no smoothness sample at this step
-        assert lines[2] == "2,9.0,6.0,30.0,15.0,1.5"
-
 
 class TestEstimateSmoothness:
     def test_exact_quadratic(self):
@@ -176,14 +158,14 @@ class TestEstimateSmoothness:
         assert est.beta_theta == pytest.approx(c, rel=1e-12)
         assert est.beta_mu == pytest.approx(c, rel=1e-12)
         assert est.beta_max == pytest.approx(c, rel=1e-12)
-        assert not est.skipped
+        assert not (est.beta_theta is None and est.beta_mu is None)
 
     def test_degenerate_skipped(self):
         rng = np.random.default_rng(2)
         p = random_srnn(3, 2, 0.5, rng)
         g = {"w": p.w.copy(), "u": p.u.copy(), "theta_out": p.theta_out.copy()}
         [est] = estimate_smoothness(stacked(g), stacked(g), stacked(p), stacked(p))
-        assert est.skipped
+        assert est.beta_theta is None and est.beta_mu is None
         assert est.beta_max is None
 
     def test_partial_block(self):

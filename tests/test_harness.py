@@ -423,6 +423,24 @@ class TestRunBatch:
 BLOCK = harness._BLOCK
 
 
+class TestSustainability:
+    """A binary-addition run is sustainable when its streak of `horizon`
+    correct decisions completes within the first `cutoff` steps; seed 1 of
+    this config starts its first such streak at t = 17 and completes it at
+    t = 28."""
+
+    CFG = ExperimentConfig(task="binary_add", model="srnn", n_h=8, optimizer="wogd",
+                           eta=0.5, window=10, horizon=12)
+
+    @pytest.mark.parametrize(
+        "cutoff, sustainable_t", [(700, 17), (28, 17), (27, None), (17, None)]
+    )
+    def test_streak_completes_within_cutoff(self, cutoff, sustainable_t):
+        [res] = run_batch(dataclasses.replace(self.CFG, cutoff=cutoff), [1])
+        assert res.sustainable_t == sustainable_t
+        assert res.steps == (28 if sustainable_t else cutoff)
+
+
 class TestLedgerBlocks:
     """run_batch records the regret and smoothness entries of up to BLOCK
     sampled steps at once, and before any member leaves: the entries are the

@@ -263,6 +263,27 @@ class TestCwrnn:
             random_cwrnn(4, 2, (2, 1), 0.1, rng)
 
 
+class TestElmanParams:
+    """CwrnnParams is an SrnnParams with periods: both check the Elman triple
+    the same way."""
+
+    FAMILIES = {
+        "srnn": SrnnParams,
+        "cwrnn": lambda **blocks: CwrnnParams(**blocks, periods=(1, 2)),
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("name", ["w", "theta_out"])
+    def test_rejects_bad_blocks(self, family, name):
+        make = self.FAMILIES[family]
+        blocks = dict(param_blocks(random_srnn(4, 2, 0.1, np.random.default_rng(8))))
+        assert make(**blocks).n_h == 4
+        a = blocks[name]
+        for bad in (a[:-1], np.concatenate([a, a[:1]]), a[..., None]):
+            with pytest.raises(ValueError, match=f"^{name} has shape"):
+                make(**{**blocks, name: bad})
+
+
 class TestStateBounds:
     def test_hidden_stays_in_unit_box(self):
         rng = np.random.default_rng(9)

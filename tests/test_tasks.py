@@ -13,11 +13,11 @@ from wogd.tasks import (
     add_step,
     binary_add_state,
     binary_add_stream,
+    correct_streaks,
     fit_scaling,
     load_csv_stream,
     loss_and_residual,
     scaled_stream,
-    sustainable_prediction,
     synthetic_regression_stream,
 )
 
@@ -126,18 +126,6 @@ class TestScaling:
         # record order is kept
         np.testing.assert_array_equal(d, [spec.scale_target(v) for v in records[:, -1]])
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(1)
-        records = rng.normal(0.0, 5.0, (30, 3))
-        spec = fit_scaling(records, n_h=4)
-        for _ in range(20):
-            raw = np.array([rng.uniform(records[:, j].min(), records[:, j].max()) for j in range(2)])
-            np.testing.assert_allclose(
-                spec.unscale_features(spec.scale_features(raw)), raw, atol=1e-12
-            )
-            t = rng.uniform(records[:, 2].min(), records[:, 2].max())
-            assert spec.unscale_target(spec.scale_target(t)) == pytest.approx(t, abs=1e-12)
-
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
             fit_scaling(np.ones((1, 3)), n_h=4)
@@ -195,32 +183,42 @@ class TestBinaryAddition:
             binary_add_state(4, seed=0)
 
 
-class TestSustainablePrediction:
+class TestCorrectStreaks:
+    """The streak update of run_batch over its members' (B,) rows; the
+    cutoff is the loop's (TestSustainability in test_harness.py)."""
+
+    @staticmethod
+    def streaks(preds, targs):
+        """The streaks after each step of (T, B) predictions and targets."""
+        s = np.zeros(preds.shape[1], dtype=np.int64)
+        out = []
+        for p, d in zip(preds, targs):
+            s = correct_streaks(s, p, d)
+            out.append(s)
+        return np.array(out)
+
     def test_all_correct(self):
-        preds = np.ones(1500) * 0.9
-        targs = np.ones(1500)
-        assert sustainable_prediction(preds, targs, horizon=1000) == 1
+        # output > 0.5 means 1: 0.5 itself is a correct 0
+        preds = np.tile([0.9, 0.1, 0.5], (1500, 1))
+        targs = np.tile([1.0, 0.0, 0.0], (1500, 1))
+        want = np.repeat(np.arange(1, 1501)[:, None], 3, axis=1)
+        np.testing.assert_array_equal(self.streaks(preds, targs), want)
 
-    def test_single_error_slides_window(self):
-        preds = np.ones(2000) * 0.9
-        targs = np.ones(2000)
-        preds[499] = 0.1  # wrong at t = 500
-        assert sustainable_prediction(preds, targs, horizon=1000) == 501
+    def test_single_error_restarts_streak(self):
+        preds = np.full((2000, 2), 0.9)
+        targs = np.ones((2000, 2))
+        preds[499, 0] = 0.1  # member 0 wrong at t = 500
+        s = self.streaks(preds, targs)
+        np.testing.assert_array_equal(s[:, 1], np.arange(1, 2001))
+        assert list(s[498:501, 0]) == [499, 0, 1]
+        # a streak of 1000 completes at t = 1500, and its first step is t = 501
+        t = int(np.argmax(s[:, 0] >= 1000)) + 1
+        assert (t, t - 1000 + 1) == (1500, 501)
 
-    def test_failure_before_cutoff(self):
-        preds = np.tile([0.9, 0.1], 600)  # alternating, never 2 in a row right
-        targs = np.ones(1200)
-        assert sustainable_prediction(preds, targs, horizon=3, cutoff=1000) is None
-
-    def test_cutoff_applies_to_start(self):
-        preds = np.concatenate([np.zeros(50), np.ones(40) * 0.9])
-        targs = np.ones(90)
-        assert sustainable_prediction(preds, targs, horizon=10, cutoff=49) is None
-        assert sustainable_prediction(preds, targs, horizon=10, cutoff=51) == 51
-
-    def test_alignment_required(self):
-        with pytest.raises(ValueError):
-            sustainable_prediction(np.ones(5), np.ones(6))
+    def test_alternating_never_reaches_two(self):
+        preds = np.tile([0.9, 0.1], 600)[:, None]
+        targs = np.ones((1200, 1))
+        assert self.streaks(preds, targs).max() == 1
 
 
 class TestSyntheticStream:
