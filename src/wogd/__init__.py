@@ -73,7 +73,7 @@ from .tasks import (
     binary_add_stream,
     fit_scaling,
     load_csv_stream,
-    loss_and_residual,
+    losses,
     scaled_stream,
     synthetic_regression_stream,
 )

@@ -44,7 +44,7 @@ from .models import (
     param_blocks,
     predictions,
 )
-from .tasks import CROSS_ENTROPY_CLAMP, LOSS_SQUARED
+from .tasks import LOSS_SQUARED, losses
 
 GRADIENT_MODES = ("replay", "cached")
 _FD_CHUNK = 32  # entries fd_gradient perturbs per kernel call, as 2 * _FD_CHUNK members
@@ -179,15 +179,6 @@ def _cells(tape: ActivationTape) -> np.ndarray:
     if tape.c is None:
         raise ValueError("LSTM gradients need a tape made with an anchor cell c0")
     return tape.c
-
-
-def _mean_loss(preds: np.ndarray, targets: np.ndarray, loss_kind: str) -> np.ndarray:
-    # Vectorized twin of tasks.loss_and_residual, averaged over the window.
-    if loss_kind == LOSS_SQUARED:
-        r = preds - targets
-        return np.mean(0.5 * r * r, axis=-1)
-    p = np.clip(preds, CROSS_ENTROPY_CLAMP, 1.0 - CROSS_ENTROPY_CLAMP)
-    return np.mean(-targets * np.log(p) - (1.0 - targets) * np.log(1.0 - p), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +418,7 @@ def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.n
     else:
         raise TypeError(f"unknown parameter type {type(family).__name__}")
     preds = predictions(member_major(h)[:, 1:], blocks["theta_out"], loss_kind)
-    return _mean_loss(preds, tape.d[:, 0], loss_kind)
+    return np.mean(losses(preds, tape.d[:, 0], loss_kind), axis=-1)
 
 
 def tbptt_gradient(

@@ -9,7 +9,8 @@ Config files are flat ``key = value`` text ('#' starts a comment), versioned
 with a ``schema_version`` key. Recognized keys:
 
   schema_version   must be 1
-  task             csv | binary_add | synthetic
+  task             csv | binary_add | synthetic; the loss follows from the task:
+                   cross_entropy for binary_add, squared for the others
   dataset          csv task: path to a numeric CSV (streamed in file order)
   target_column    csv task: target column index, default -1 (last)
   steps            csv/synthetic: number of steps (csv: 0 = whole file)
@@ -21,7 +22,6 @@ with a ``schema_version`` key. Recognized keys:
   model            srnn | lstm | cwrnn
   n_h              hidden units
   periods          cwrnn clock periods, e.g. 1,2,4,8,16
-  loss             squared | cross_entropy (defaulted by task)
   optimizer        wogd | sgd | rmsprop | adam
   eta              wogd hidden-layer learning rate
   window           wogd window size (and default tape depth for baselines)
@@ -124,7 +124,6 @@ class ExperimentConfig:
     cutoff: int = 50_000
     # model parameters
     periods: tuple[int, ...] = (1, 2, 4, 8, 16)
-    loss: str = ""
     init_std: float = 0.1
     # optimizer parameters
     eta: float = 0.03
@@ -155,8 +154,6 @@ class ExperimentConfig:
 
     @property
     def loss_kind(self) -> str:
-        if self.loss:
-            return self.loss
         return tasks.LOSS_CROSS_ENTROPY if self.task == "binary_add" else tasks.LOSS_SQUARED
 
     @property
@@ -184,7 +181,7 @@ _FLOAT_KEYS = {
 _BOOL_KEYS = {"record_regret", "record_smoothness", "check_gradient_bounds"}
 _INT_LIST_KEYS = {"periods", "seeds"}
 _STR_KEYS = {
-    "task", "dataset", "model", "loss", "optimizer", "gradient_mode", "out_dir",
+    "task", "dataset", "model", "optimizer", "gradient_mode", "out_dir",
 }
 
 
@@ -284,13 +281,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             p.append("n_sequences must be 2 or 3")
         if cfg.horizon < 1:
             p.append("horizon must be >= 1")
-        if cfg.loss and cfg.loss != tasks.LOSS_CROSS_ENTROPY:
-            p.append("binary_add task uses the cross_entropy loss")
-    else:
-        if cfg.loss and cfg.loss != tasks.LOSS_SQUARED:
-            p.append(f"{cfg.task} task uses the squared loss")
-    if cfg.loss and cfg.loss not in tasks.LOSS_KINDS:
-        p.append(f"loss must be one of {tasks.LOSS_KINDS}")
     if cfg.optimizer == "wogd" and cfg.model == "lstm":
         p.append("the windowed projected update applies to srnn/cwrnn parameter triples")
     if cfg.model == "cwrnn":
@@ -623,14 +613,9 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         if sampled:
             block.append((before, grads, after, params))
 
-        if squared:
-            r = pred - d_t
-            losses[t - 1] = r * r
-        else:
-            losses[t - 1] = [
-                tasks.loss_and_residual(float(y), float(d), loss_kind)[0]
-                for y, d in zip(pred, d_t)
-            ]
+        row = tasks.losses(pred, d_t, loss_kind)
+        # a squared row is twice the loss: the squared error r * r that mse reports
+        losses[t - 1] = 2.0 * row if squared else row
         lost = ~np.isfinite(losses[t - 1])
         # the kernel's failure, else the update's, the probe's, the loss's
         leaving = []

@@ -22,7 +22,6 @@ import numpy as np
 
 LOSS_SQUARED = "squared"
 LOSS_CROSS_ENTROPY = "cross_entropy"
-LOSS_KINDS = (LOSS_SQUARED, LOSS_CROSS_ENTROPY)
 
 # Probabilities are clamped this far away from {0, 1} before taking logs.
 CROSS_ENTROPY_CLAMP = 1e-12
@@ -36,27 +35,23 @@ class CsvFormatError(ValueError):
         self.line = line
 
 
-def loss_and_residual(prediction: float, target: float, kind: str) -> tuple[float, float]:
-    """Per-step loss and its derivative w.r.t. the readout.
+def losses(preds: np.ndarray, targets: np.ndarray, kind: str) -> np.ndarray:
+    """Elementwise loss of predictions against targets, arrays of any shape.
 
-    squared:        (0.5 (d - d_hat)^2,  d_hat - d)
-    cross_entropy:  (-p log p_hat - (1-p) log(1-p_hat),  p_hat - p)
+    squared:        0.5 (d - d_hat)^2
+    cross_entropy:  -p log p_hat - (1-p) log(1-p_hat)
 
     For cross-entropy the prediction is clamped away from {0, 1} before the
-    logs (saturated sigmoids round to exactly 0.0/1.0 in float64); the
-    residual uses the raw prediction. Predictions outside [0, 1] are a domain
-    error.
+    logs (saturated sigmoids round to exactly 0.0/1.0 in float64); a NaN
+    prediction gives a NaN loss.
     """
     if kind == LOSS_SQUARED:
-        r = prediction - target
-        return 0.5 * r * r, r
-    if kind == LOSS_CROSS_ENTROPY:
-        if not (0.0 <= prediction <= 1.0):
-            raise ValueError(f"cross-entropy prediction {prediction} outside [0, 1]")
-        p_hat = min(max(prediction, CROSS_ENTROPY_CLAMP), 1.0 - CROSS_ENTROPY_CLAMP)
-        loss = -target * math.log(p_hat) - (1.0 - target) * math.log(1.0 - p_hat)
-        return loss, prediction - target
-    raise ValueError(f"unknown loss kind {kind!r}")
+        r = preds - targets
+        return 0.5 * r * r
+    if kind != LOSS_CROSS_ENTROPY:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    p = np.clip(preds, CROSS_ENTROPY_CLAMP, 1.0 - CROSS_ENTROPY_CLAMP)
+    return -targets * np.log(p) - (1.0 - targets) * np.log(1.0 - p)
 
 
 def load_csv_stream(path, target_column: int = -1) -> np.ndarray:
@@ -121,10 +116,10 @@ class ScalingSpec:
         scaled = 2.0 * (raw - self.feature_min) / safe - 1.0
         return np.where(span > 0, scaled, 0.0)
 
-    def scale_target(self, raw: float) -> float:
+    def scale_target(self, raw: np.ndarray) -> np.ndarray:
         span = self.target_max - self.target_min
         if span <= 0:
-            return 0.0
+            return np.zeros_like(raw, dtype=np.float64)
         return (2.0 * (raw - self.target_min) / span - 1.0) * self.target_radius
 
 
@@ -159,7 +154,7 @@ def scaled_stream(records: np.ndarray, spec: ScalingSpec) -> tuple[np.ndarray, n
     tcol = spec.target_column % cols
     fcols = [j for j in range(cols) if j != tcol]
     xs = spec.scale_features(records[:, fcols])
-    d = np.array([spec.scale_target(float(v)) for v in records[:, tcol]])
+    d = spec.scale_target(records[:, tcol])
     bad = (np.abs(xs) > 1.0 + 1e-12).any(axis=1) | (np.abs(d) > spec.target_radius + 1e-12)
     if bad.any():
         raise AssertionError(f"scaled sample out of range at row {int(np.argmax(bad))}")

@@ -105,12 +105,18 @@ class TestConfigParsing:
                  "model": "cwrnn", "n_h": "5", "periods": "1,2", "optimizer": "sgd"}
             )
 
-    def test_binary_loss_pinned(self):
-        with pytest.raises(ConfigError, match="cross_entropy"):
-            config_from_mapping(
-                {"schema_version": "1", "task": "binary_add", "model": "srnn",
-                 "n_h": "4", "optimizer": "wogd", "loss": "squared"}
-            )
+    def test_loss_key_rejected(self, tmp_path, capsys):
+        """The loss follows from the task; a config that sets one is refused."""
+        raw = {"schema_version": "1", "task": "binary_add", "model": "srnn",
+               "n_h": "4", "optimizer": "wogd", "loss": "cross_entropy",
+               "out_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigError, match="^unknown key 'loss'$"):
+            config_from_mapping(raw)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert "unknown key 'loss'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "change, problem",

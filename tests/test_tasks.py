@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wogd.tasks import (
     BinaryAddState,
+    CROSS_ENTROPY_CLAMP,
     CsvFormatError,
     LOSS_CROSS_ENTROPY,
     LOSS_SQUARED,
@@ -16,38 +19,60 @@ from wogd.tasks import (
     correct_streaks,
     fit_scaling,
     load_csv_stream,
-    loss_and_residual,
+    losses,
     scaled_stream,
     synthetic_regression_stream,
 )
 
 
-class TestLossAndResidual:
+def scalar_cross_entropy(prediction: float, target: float) -> float:
+    """Reference: the clamped cross-entropy of one prediction, in math.log."""
+    p_hat = min(max(prediction, CROSS_ENTROPY_CLAMP), 1.0 - CROSS_ENTROPY_CLAMP)
+    return -target * math.log(p_hat) - (1.0 - target) * math.log(1.0 - p_hat)
+
+
+class TestLosses:
     def test_squared_zero_residual(self):
-        assert loss_and_residual(1.5, 1.5, LOSS_SQUARED) == (0.0, 0.0)
+        np.testing.assert_array_equal(losses(np.array([1.5, -2.0]), np.array([1.5, -2.0]),
+                                             LOSS_SQUARED), [0.0, 0.0])
 
     def test_squared_arithmetic(self):
-        loss, resid = loss_and_residual(3.0, 1.0, LOSS_SQUARED)
-        assert loss == pytest.approx(2.0)
-        assert resid == pytest.approx(2.0)
+        assert losses(np.array([3.0]), np.array([1.0]), LOSS_SQUARED)[0] == 2.0
 
     def test_cross_entropy_closed_form(self):
-        loss, resid = loss_and_residual(0.5, 1.0, LOSS_CROSS_ENTROPY)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        assert resid == pytest.approx(-0.5)
+        out = losses(np.array([0.5, 0.5]), np.array([1.0, 0.0]), LOSS_CROSS_ENTROPY)
+        np.testing.assert_allclose(out, math.log(2.0), rtol=0, atol=1e-12)
 
     def test_cross_entropy_clamps_saturated(self):
-        loss, resid = loss_and_residual(1.0, 0.0, LOSS_CROSS_ENTROPY)
-        assert math.isfinite(loss)
-        assert resid == pytest.approx(1.0)
-
-    def test_cross_entropy_domain(self):
-        with pytest.raises(ValueError):
-            loss_and_residual(1.2, 1.0, LOSS_CROSS_ENTROPY)
+        out = losses(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), LOSS_CROSS_ENTROPY)
+        assert out.shape == (1, 2)
+        assert np.all(np.isfinite(out))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            loss_and_residual(0.0, 0.0, "absolute")
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            losses(np.zeros(2), np.zeros(2), "absolute")
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                 min_size=1, max_size=20)
+    )
+    def test_cross_entropy_matches_scalar_reference(self, cases):
+        preds, targets = (np.array(v) for v in zip(*cases))
+        out = losses(preds, targets, LOSS_CROSS_ENTROPY)
+        ref = np.array([scalar_cross_entropy(p, d) for p, d in cases])
+        np.testing.assert_allclose(out, ref, rtol=2 * np.finfo(float).eps, atol=0)
+
+    @given(
+        st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
+                 min_size=1, max_size=20)
+    )
+    def test_squared_is_half_the_squared_error(self, cases):
+        """2 * losses is bitwise r * r wherever 0.5 * r * r is not subnormal."""
+        preds, targets = (np.array(v) for v in zip(*cases))
+        r = preds - targets
+        normal = (r * r == 0.0) | (r * r >= 2.0 * np.finfo(float).tiny)
+        out = 2.0 * losses(preds, targets, LOSS_SQUARED)
+        np.testing.assert_array_equal(out[normal], (r * r)[normal])
 
 
 class TestLoadCsv:
@@ -102,8 +127,9 @@ class TestScaling:
     def test_target_endpoint(self):
         records = np.column_stack([np.linspace(0, 1, 5), np.linspace(-2, 2, 5)])
         spec = fit_scaling(records, n_h=10)
-        assert spec.scale_target(2.0) == pytest.approx(math.sqrt(10.0))
-        assert spec.scale_target(-2.0) == pytest.approx(-math.sqrt(10.0))
+        np.testing.assert_allclose(
+            spec.scale_target(np.array([2.0, -2.0])), [math.sqrt(10.0), -math.sqrt(10.0)]
+        )
         assert spec.scale_target(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_column_flagged(self):
@@ -124,7 +150,7 @@ class TestScaling:
         assert np.all(np.abs(x[:, :-1]) <= 1.0 + 1e-12)
         assert np.all(np.abs(d) <= 3.0 + 1e-12)
         # record order is kept
-        np.testing.assert_array_equal(d, [spec.scale_target(v) for v in records[:, -1]])
+        np.testing.assert_array_equal(d, [spec.scale_target(float(v)) for v in records[:, -1]])
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
