@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -104,6 +105,29 @@ class TestConfigParsing:
                 {"schema_version": "1", "task": "synthetic", "steps": "50",
                  "model": "cwrnn", "n_h": "5", "periods": "1,2", "optimizer": "sgd"}
             )
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"n_h": "ten"}, "bad value for 'n_h': 'ten'; missing required key 'n_h'"),
+            ({"eta": "fast"}, "bad value for 'eta': 'fast'"),
+            ({"record_regret": "maybe"}, "bad value for 'record_regret': 'maybe'"),
+            ({"seeds": "1,x"}, "bad value for 'seeds': '1,x'"),
+            ({"lambda": "big"}, "bad value for 'lambda': 'big'"),
+            ({"schema_version": None, "task": None, "model": None, "n_h": None,
+              "optimizer": None},
+             "schema_version must be 1, got missing; missing required key 'task'; "
+             "missing required key 'model'; missing required key 'n_h'; "
+             "missing required key 'optimizer'"),
+        ],
+        ids=["int", "float", "bool", "int-list", "alias", "missing-required-order"],
+    )
+    def test_coercion_messages_pinned(self, raw, message):
+        base = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
+                "n_h": "3", "optimizer": "wogd"}
+        merged = {k: v for k, v in {**base, **raw}.items() if v is not None}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_mapping(merged)
 
     def test_loss_key_rejected(self, tmp_path, capsys):
         """The loss follows from the task; a config that sets one is refused."""
