@@ -14,7 +14,6 @@ manifest.json lists where each diverged seed stopped.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -25,28 +24,29 @@ from .gradients import NumericOverflowError
 from .harness import (
     ConfigError,
     DivergedSeedsError,
+    ExperimentConfig,
     GridSearchError,
     aggregate,
+    config_from_mapping,
     emit_outputs,
     grid_search,
-    load_config,
     parse_config_text,
     run_many,
 )
 from .tasks import CsvFormatError
 
 
-def _parse_seed_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
-    except ValueError:
-        raise ConfigError(f"bad seed list {text!r}") from None
+def _load(args) -> tuple[dict, ExperimentConfig]:
+    """The config file's raw mapping, with --seeds as its seeds key, and the
+    config it validates to."""
+    raw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+    if args.seeds:
+        raw["seeds"] = args.seeds
+    return raw, config_from_mapping(raw)
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seeds:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds))
+    raw, cfg = _load(args)
     out_dir = args.out or cfg.out_dir
     failure = None
     try:
@@ -56,7 +56,6 @@ def _cmd_run(args) -> int:
             raise
         failure, results = exc, exc.results  # keep the seeds that finished
     summary = aggregate(results)
-    raw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     files = emit_outputs(
         summary, out_dir, config_mapping=raw, diverged=failure.diverged if failure else None
     )
@@ -73,13 +72,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    cfg = load_config(args.config)
+    _, cfg = _load(args)
     try:
         grid = tuple(float(v) for v in args.lr_grid.split(",") if v.strip())
     except ValueError:
         raise ConfigError(f"bad grid {args.lr_grid!r}") from None
-    seeds = _parse_seed_list(args.seeds) if args.seeds else None
-    best, rows = grid_search(cfg, grid, tuning_seeds=seeds)
+    best, rows = grid_search(cfg, grid, tuning_seeds=cfg.seeds if args.seeds else None)
     for rate, mse, note in rows:
         status = f"mse={mse:.6g}" if mse is not None else f"excluded ({note})"
         print(f"rate={rate:g}: {status}")

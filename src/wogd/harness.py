@@ -26,7 +26,8 @@ with a ``schema_version`` key. Recognized keys:
   eta              wogd hidden-layer learning rate
   window           wogd window size (and default tape depth for baselines)
   lambda           wogd spectral radius, default 0.95
-  alpha            wogd lazy-projection trigger, default 7.5
+  alpha            wogd lazy-projection trigger on the Frobenius norm, default
+                   7.5; the spectral bound lambda holds only when alpha <= lambda
   out_lr_scale     wogd output schedule c in c/sqrt(t), default 8.0
   out_radius       wogd output-weight l2 bound, default 2.5
   gradient_mode    replay | cached, default replay
@@ -59,7 +60,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,22 +168,34 @@ class ExperimentConfig:
         return tuple(range(1001, 1001 + self.tuning_runs))
 
 
-_CONFIG_DEFAULTS = ExperimentConfig(task="csv", model="srnn", n_h=1, optimizer="wogd")
-
 _KEY_ALIASES = {"lambda": "lam"}
 
-_INT_KEYS = {
-    "target_column", "steps", "features", "n_sequences", "horizon", "cutoff",
-    "n_h", "window", "tbptt_depth", "tuning_runs", "eval_runs", "regret_every",
+
+def _bool(value) -> bool:
+    text = str(value).strip().lower()
+    if text not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(text)
+    return text in ("true", "1", "yes")
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(int(v) for v in value)
+    return tuple(int(v) for v in str(value).split(",") if v.strip())
+
+
+# annotation (a string, under postponed evaluation) -> coercer of a raw value
+_COERCERS = {
+    "int": lambda v: int(str(v)),
+    "float": lambda v: float(str(v)),
+    "bool": _bool,
+    "str": lambda v: str(v).strip(),
+    "str | None": lambda v: str(v).strip(),
+    "tuple[int, ...]": _int_tuple,
 }
-_FLOAT_KEYS = {
-    "init_std", "eta", "lam", "alpha", "out_lr_scale", "out_radius", "learning_rate",
-}
-_BOOL_KEYS = {"record_regret", "record_smoothness", "check_gradient_bounds"}
-_INT_LIST_KEYS = {"periods", "seeds"}
-_STR_KEYS = {
-    "task", "dataset", "model", "optimizer", "gradient_mode", "out_dir",
-}
+# a field whose annotation has no coercer fails here, at import (KeyError)
+_COERCE = {f.name: _COERCERS[f.type] for f in fields(ExperimentConfig)}
+_REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -206,7 +219,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     """Validate and coerce a raw mapping; collects every problem it finds."""
     problems: list[str] = []
-    fields: dict = {}
+    values: dict = {}
     version = str(raw.get("schema_version", "")).strip()
     if version != str(SCHEMA_VERSION):
         problems.append(f"schema_version must be {SCHEMA_VERSION}, got {version or 'missing'}")
@@ -215,42 +228,24 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         if key == "schema_version":
             continue
         name = _KEY_ALIASES.get(key, key)
+        if name not in _COERCE:
+            problems.append(f"unknown key {key!r}")
+            continue
         try:
-            if name in _INT_KEYS:
-                fields[name] = int(str(value))
-            elif name in _FLOAT_KEYS:
-                fields[name] = float(str(value))
-            elif name in _BOOL_KEYS:
-                text = str(value).strip().lower()
-                if text not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(text)
-                fields[name] = text in ("true", "1", "yes")
-            elif name in _INT_LIST_KEYS:
-                if isinstance(value, (list, tuple)):
-                    fields[name] = tuple(int(v) for v in value)
-                else:
-                    fields[name] = tuple(int(v) for v in str(value).split(",") if v.strip())
-            elif name in _STR_KEYS:
-                fields[name] = str(value).strip()
-            else:
-                problems.append(f"unknown key {key!r}")
+            values[name] = _COERCE[name](value)
         except (TypeError, ValueError):
             problems.append(f"bad value for {key!r}: {value!r}")
 
-    for required in ("task", "model", "n_h", "optimizer"):
-        if required not in fields:
+    for required in _REQUIRED:
+        if required not in values:
             problems.append(f"missing required key {required!r}")
     if problems:
         raise ConfigError("; ".join(problems))
-
-    cfg = replace(_CONFIG_DEFAULTS, **fields)
-    problems.extend(_validate(cfg))
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    return _validate(ExperimentConfig(**values))
 
 
-def _validate(cfg: ExperimentConfig) -> list[str]:
+def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg itself, or a ConfigError naming every cross-field problem found."""
     p: list[str] = []
     if cfg.task not in TASK_KINDS:
         p.append(f"task must be one of {TASK_KINDS}")
@@ -310,7 +305,9 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         _optimizer(cfg)
     except ValueError as exc:
         p.append(str(exc))
-    return p
+    if p:
+        raise ConfigError("; ".join(p))
+    return cfg
 
 
 def _optimizer(cfg: ExperimentConfig) -> WogdConfig | BaselineConfig:
@@ -714,17 +711,17 @@ def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
 
     The tuning seeds of one rate run as one run_batch (eta for wogd, the
     learning rate for the baselines); the means are those of run_single.
+    Each rate's config, with the tuning seeds as its seeds, is validated as a
+    config file is, before the first run.
     """
     grid = tuple(grid)
     if not grid:
         raise ConfigError("learning-rate grid is empty")
     seeds = tuple(tuning_seeds) if tuning_seeds is not None else cfg.tuning_seeds()
+    key = "eta" if cfg.optimizer == "wogd" else "learning_rate"
+    candidates = [_validate(replace(cfg, seeds=seeds, **{key: rate})) for rate in grid]
     rows = []
-    for rate in grid:
-        if cfg.optimizer == "wogd":
-            candidate = replace(cfg, eta=rate)
-        else:
-            candidate = replace(cfg, learning_rate=rate)
+    for rate, candidate in zip(grid, candidates):
         results, diverged = _run_seeds(candidate, seeds)
         if diverged:
             first = next(iter(diverged.values()))

@@ -2,17 +2,18 @@
 
 Both update the (B, ...) parameter stacks of B runs elementwise, and report
 per run the first non-finite update. WOGD updates the hidden weight matrices
-with a constant rate eta on the windowed-loss gradient and keeps their
-spectral norms inside lambda < 1; the singular-value clip runs lazily, as one
-stacked call per block, only on the freshly updated matrices whose Frobenius
-norm exceeds the trigger alpha. The output weights follow a projected
-c/sqrt(t) schedule on the l2 ball.
+with a constant rate eta on the windowed-loss gradient and clips their
+singular values to lambda < 1 lazily, as one stacked call per block, only on
+the freshly updated matrices whose Frobenius norm exceeds the trigger alpha.
+As ||W||_2 <= ||W||_F, a matrix left alone may have a spectral norm up to
+alpha: the spectral norms are guaranteed to stay inside lambda only when
+alpha <= lambda (alpha = 0 clips every update). The output weights follow a
+projected c/sqrt(t) schedule on the l2 ball.
 
 The regret bookkeeping uses `projected_gradient`, which always performs the
 true spectral projection (no alpha shortcut): that quantity defines the
-regret, while the lazy trigger is only a cost optimization of the parameter
-update path. It runs off that path, once per block of sampled steps over
-their (K * B, ...) stacks.
+regret, whatever iterates the lazy trigger lets through. It runs off the
+update path, once per block of sampled steps over their (K * B, ...) stacks.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 BASELINE_KINDS = ("sgd", "rmsprop", "adam")
+_RMSPROP_DECAY, _BETA1, _BETA2, _EPSILON = 0.9, 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -129,10 +131,6 @@ class BaselineConfig:
 
     kind: str
     learning_rate: float
-    rmsprop_decay: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
@@ -165,13 +163,13 @@ def baseline_step(
         if cfg.kind == "sgd":
             new[name] = arr - cfg.learning_rate * g
             continue
-        decay = cfg.rmsprop_decay if cfg.kind == "rmsprop" else cfg.beta2
+        decay = _RMSPROP_DECAY if cfg.kind == "rmsprop" else _BETA2
         v = moments["v", name] = decay * moments.get(("v", name), 0.0) + (1.0 - decay) * g * g
         if cfg.kind == "rmsprop":
-            new[name] = arr - cfg.learning_rate * g / (np.sqrt(v) + cfg.epsilon)
+            new[name] = arr - cfg.learning_rate * g / (np.sqrt(v) + _EPSILON)
             continue
-        m = moments["m", name] = cfg.beta1 * moments.get(("m", name), 0.0) + (1.0 - cfg.beta1) * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        new[name] = arr - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m = moments["m", name] = _BETA1 * moments.get(("m", name), 0.0) + (1.0 - _BETA1) * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        new[name] = arr - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
     return new, first_failures([(f"update of block {name!r}", a) for name, a in new.items()])

@@ -129,6 +129,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_mapping(merged)
 
+    def test_docstring_key_table_names_the_accepted_keys(self):
+        """The module docstring's key table is the documented schema: it names
+        schema_version, each alias, and every field that is not aliased."""
+        doc = harness.__doc__
+        table = doc[doc.index("Recognized keys:"):doc.index("\n\nPer-seed randomness")]
+        documented = re.findall(r"^  (\w+) ", table, flags=re.M)
+        aliased = set(harness._KEY_ALIASES.values())
+        accepted = {"schema_version", *harness._KEY_ALIASES} | {
+            f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in aliased
+        }
+        assert len(documented) == len(set(documented))
+        assert set(documented) == accepted
+
     def test_loss_key_rejected(self, tmp_path, capsys):
         """The loss follows from the task; a config that sets one is refused."""
         raw = {"schema_version": "1", "task": "binary_add", "model": "srnn",
@@ -737,6 +750,21 @@ class TestGridSearch:
         for rate in means:
             assert by_rate[rate] == pytest.approx(means[rate], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "grid, seeds, problem",
+        [
+            ([0.05, -0.1], (1,), "eta must be positive, got -0.1"),
+            ([0.05], (1, 1), "seeds must be distinct"),
+        ],
+        ids=["negative-eta", "repeated-seeds"],
+    )
+    def test_every_candidate_validated_before_any_run(self, grid, seeds, problem, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_run_seeds", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            grid_search(fixture_cfg(steps=40), grid, tuning_seeds=seeds)
+        assert calls == []
+
     def test_all_divergent_raises(self):
         cfg = fixture_cfg(steps=40, optimizer="sgd", tbptt_depth=6)
         with np.errstate(all="ignore"), pytest.raises(GridSearchError):
@@ -823,10 +851,33 @@ class TestCli:
     def test_run_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out"))
-        code = cli_main(["run", "--config", str(cfg_path)])
+        code = cli_main(["run", "--config", str(cfg_path), "--seeds", "2,3"])
         assert code == 0
         assert (tmp_path / "out" / "summary.csv").exists()
         assert "srnn-wogd(w=10)" in capsys.readouterr().out
+        # the manifest records the mapping that ran: --seeds replaces the file's seeds
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["seeds"] == "2,3"
+        assert manifest["seeds"] == {"srnn-wogd(w=10)": [2, 3]}
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["run", "--seeds", "1,1"], "seeds must be distinct"),
+            (["run", "--seeds", "1,x"], "bad value for 'seeds': '1,x'"),
+            (["grid", "--lr-grid=-0.1,0.05"], "eta must be positive, got -0.1"),
+            (["grid", "--lr-grid", "0.05", "--seeds", "1,1"], "seeds must be distinct"),
+        ],
+        ids=["run-repeated-seeds", "run-bad-seed", "grid-negative-eta", "grid-repeated-seeds"],
+    )
+    def test_overrides_validated_like_the_file(self, argv, problem, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out"))
+        assert cli_main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error[config]: {problem}\n"
+        assert "rate=" not in out  # nothing was trained
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

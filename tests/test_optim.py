@@ -116,6 +116,23 @@ class TestWogdStep:
         assert triggered == 0
         np.testing.assert_allclose(q.w, p.w - 0.05 * g["w"], atol=1e-15)
 
+    @pytest.mark.parametrize("frobenius, clipped", [(7.0, False), (8.0, True)])
+    def test_trigger_reads_the_frobenius_norm(self, frobenius, clipped):
+        """||W||_2 <= ||W||_F: below alpha = 7.5 a w whose sigma_max is far
+        past lam = 0.95 is left alone, so the spectral bound needs alpha <= lam."""
+        rng = np.random.default_rng(10)
+        p = random_srnn(4, 3, 0.0, rng)
+        direction = rng.normal(size=(4, 4))
+        g = zero_grads(p)
+        g["w"] = -direction * (frobenius / np.linalg.norm(direction))
+        q, clips, _ = one_wogd_step(WogdConfig(eta=1.0, lam=0.95, alpha=7.5), p, g, t=1)
+        assert clips == int(clipped)
+        if clipped:
+            assert spectral_norm(q.w) == pytest.approx(0.95, rel=1e-12)
+        else:
+            np.testing.assert_array_equal(q.w, -g["w"])
+            assert spectral_norm(q.w) > 0.95
+
     def test_output_ball_enforced(self):
         rng = np.random.default_rng(4)
         p = random_srnn(3, 2, 0.1, rng)
