@@ -8,26 +8,28 @@ against brute-force finite differences.
 import numpy as np
 
 from wogd import ActivationTape, fd_gradient, smoothed_loss, tbptt_gradient
-from wogd.models import random_srnn, readout, step_model, zero_state
+from wogd.models import param_blocks, random_srnn, readout, step_model
 
 rng = np.random.default_rng(3)
 params = random_srnn(4, 3, 0.4, rng)
 
-state = zero_state(params)
-tape = ActivationTape(capacity=8, h0=state.h, n_x=3)
-for _ in range(12):  # the tape keeps only the last 8
-    x = rng.uniform(-1.0, 1.0, 3)
+blocks = {name: a[None] for name, a in param_blocks(params)}  # one run: (1, ...) stacks
+h = np.zeros((1, 4))
+tape = ActivationTape(capacity=8, h0=h, n_x=3)
+for t in range(1, 13):  # the tape keeps only the last 8
+    x = rng.uniform(-1.0, 1.0, (1, 3))
     d = rng.uniform(-1.0, 1.0)
-    new_state, _ = step_model(params, state, x)
-    pred = readout(params, new_state, "squared")
-    tape.push(x, d, pred, new_state.h)
-    state = new_state
+    h, _ = step_model(params, blocks, x, h, None, t)
+    pred = readout(h, params.theta_out, "squared")
+    tape.push(x, d, pred, h)
 
 print(f"tape holds {len(tape)} of the last steps; anchor sits at t={tape.ts[0] - 1}")
 print("windowed loss at the current weights:", round(smoothed_loss(tape, params), 6))
 
-g_replay = tbptt_gradient(tape, params, mode="replay")
-g_cached = tbptt_gradient(tape, params, mode="cached")
+g_replay, g_cached = (
+    {name: g[0] for name, g in tbptt_gradient(tape, blocks, params, mode)[0].items()}
+    for mode in ("replay", "cached")
+)
 g_fd = fd_gradient(tape, params, eps=1e-6)
 
 print()

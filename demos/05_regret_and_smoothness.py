@@ -33,7 +33,7 @@ print(f"closed-form ceiling at this eta (valid for eta <= 1/beta): {bound:.1f}")
 print()
 n_x = cfg.features + 1
 sb = smoothness_bounds(cfg.n_h, n_x, cfg.lam)
-beta_emp = led.beta_exp_values()
+beta_emp = np.array([b for b in led.beta_exp if b is not None])  # the sampled steps
 print(f"worst-case curvature bound beta       : {sb.beta:12.1f}")
 print(f"observed curvature (max over the run) : {beta_emp.max():12.4f}")
 print(f"observed curvature (median)           : {np.median(beta_emp):12.4f}")

@@ -8,11 +8,11 @@ stretch of 1000 decisions that completes within the cutoff.
 
 import numpy as np
 
-from wogd import binary_add_state, binary_add_stream
+from wogd import BinaryAddState, binary_add_stream
 from wogd.harness import ExperimentConfig, run_single
 
 print("== the stream itself ==")
-state = binary_add_state(n=2, seed=5)
+state = BinaryAddState(n=2, rng=np.random.default_rng(5))
 xs, ds = binary_add_stream(state, 8)
 print("bits (scaled to +-1, bias last) -> sum bit")
 for x, d in zip(xs, ds):

@@ -46,14 +46,12 @@ from .linalg import (
 )
 from .models import (
     CwrnnParams,
-    HiddenState,
     LstmGates,
     LstmParams,
     SrnnParams,
     random_cwrnn,
     random_lstm,
     random_srnn,
-    zero_state,
 )
 from .optim import (
     BaselineConfig,
@@ -69,7 +67,6 @@ from .tasks import (
     LOSS_CROSS_ENTROPY,
     LOSS_SQUARED,
     ScalingSpec,
-    binary_add_state,
     binary_add_stream,
     fit_scaling,
     load_csv_stream,

@@ -180,9 +180,6 @@ class RegretLedger:
     def beta_exp(self) -> list[float | None]:
         return [None if e is None else e.beta_max for e in self.smoothness]
 
-    def beta_exp_values(self) -> np.ndarray:
-        return np.asarray([b for b in self.beta_exp if b is not None], dtype=np.float64)
-
 
 def write_csv(path, header: list[str], columns) -> None:
     """One row per index of the equal-length columns. Floats are written

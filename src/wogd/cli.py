@@ -40,7 +40,7 @@ def _load(args) -> tuple[dict, ExperimentConfig]:
     """The config file's raw mapping, with --seeds as its seeds key, and the
     config it validates to."""
     raw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    if args.seeds:
+    if args.seeds is not None:
         raw["seeds"] = args.seeds
     return raw, config_from_mapping(raw)
 
@@ -77,7 +77,7 @@ def _cmd_grid(args) -> int:
         grid = tuple(float(v) for v in args.lr_grid.split(",") if v.strip())
     except ValueError:
         raise ConfigError(f"bad grid {args.lr_grid!r}") from None
-    best, rows = grid_search(cfg, grid, tuning_seeds=cfg.seeds if args.seeds else None)
+    best, rows = grid_search(cfg, grid, tuning_seeds=cfg.seeds if args.seeds is not None else None)
     for rate, mse, note in rows:
         status = f"mse={mse:.6g}" if mse is not None else f"excluded ({note})"
         print(f"rate={rate:g}: {status}")
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a config across its seeds")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seeds", default="", help="comma-separated override")
+    p_run.add_argument("--seeds", help="comma-separated override")
     p_run.add_argument("--out", default="", help="output directory override")
     p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="learning-rate grid search")
     p_grid.add_argument("--config", required=True)
     p_grid.add_argument("--lr-grid", required=True)
-    p_grid.add_argument("--seeds", default="")
+    p_grid.add_argument("--seeds")
     p_grid.set_defaults(func=_cmd_grid)
 
     p_verify = sub.add_parser("verify", help="run the test suites")

@@ -1,9 +1,9 @@
 """Gradients of the time-smoothed loss via truncated backpropagation.
 
-The ``ActivationTape`` keeps the last `w` observed steps of one run, or of B
-runs trained in lockstep, plus the hidden state at the window's left edge
-(the anchor), as time-major arrays whose windows are contiguous views.
-Gradients come in two flavours:
+The ``ActivationTape`` keeps the last `w` observed steps of B runs trained in
+lockstep (one run is the B = 1 case), plus the hidden state at the window's
+left edge (the anchor), as time-major arrays whose windows are contiguous
+views. Gradients come in two flavours:
 
 * ``replay`` (default): re-run the forward pass from the anchor over the
   window's inputs with the *current* parameters, then backpropagate the mean
@@ -15,18 +15,19 @@ Gradients come in two flavours:
   (computed under the historical parameters) with the current weight
   matrices. The classical, cheaper TBPTT approximation.
 
-Each family has one kernel over the runs of a tape, B = 1 included:
-``elman_window_gradient`` (SRNN and CWRNN) and ``lstm_window_gradient``;
-``window_gradient`` picks the family's kernel for a tape. The first-order
-baselines (SGD/RMSprop/Adam) take its cached-mode gradient of the newest loss
-only; ``instant_gradient`` is that gradient for one run.
+Each family has one kernel over the runs of a tape: ``elman_window_gradient``
+(SRNN and CWRNN) and ``lstm_window_gradient``. Over a tape, ``tbptt_gradient``
+is the gradient of the window's mean loss (WOGD's), and ``instant_gradient``
+the cached-mode gradient of the newest loss only (the first-order
+baselines'). Both take (B, ...) parameter stacks keyed like param_blocks and
+return the (B, ...) gradient stacks with, per member, the first non-finite
+quantity or None.
 
-``tbptt_gradient``, ``instant_gradient``, ``smoothed_loss`` and
-``fd_gradient`` read a one-run tape. The finite-difference oracle
-``fd_gradient`` is batched over members: the +-eps probes of a chunk of
-entries run as the members of one forward-kernel call. All gradients are
-returned as a dict keyed by parameter-block name, with the same shapes as
-the corresponding parameter arrays (the kernels add a leading member axis).
+``smoothed_loss`` and ``fd_gradient`` read a one-run tape under one set of
+parameters. The finite-difference oracle ``fd_gradient`` is batched over
+members: the +-eps probes of a chunk of entries run as the members of one
+forward-kernel call. Its gradients are returned as a dict keyed by
+parameter-block name, with the shapes of the parameter arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .models import (
     lstm_forward,
     member_major,
     param_blocks,
-    predictions,
+    readout,
 )
 from .tasks import LOSS_SQUARED, losses
 
@@ -167,9 +168,6 @@ class ActivationTape:
 
 
 def _window_length(tape: ActivationTape) -> int:
-    # The single-run operations read member 0 of a one-member tape.
-    if tape.state.shape[0] != 1:
-        raise ValueError(f"expected a one-run tape, got {tape.state.shape[0]} members")
     if len(tape) == 0:
         raise ValueError("tape is empty")
     return len(tape)
@@ -251,8 +249,8 @@ def elman_window_gradient(
     recorded pred and h.
     `clock` is any member's parameters (or None for the SRNN); a CwrnnParams
     brings the clockwork mask and schedule. Returns the gradient stacks and,
-    per member, the first non-finite quantity in the order the single-tape
-    path checks them (or None).
+    per member, the first non-finite quantity (the replayed states, then the
+    gradient blocks in order) or None.
     """
     h = h[..., None]  # the kernels' state layout, (m + 1, B, n_h, 1)
     xb = member_major(x)
@@ -260,7 +258,7 @@ def elman_window_gradient(
     states = elman_forward(xb, h[0], w, u, active) if mode == "replay" else h
     hb = member_major(states[..., 0])
     if mode == "replay":
-        preds = predictions(hb[:, 1:], theta, loss_kind)
+        preds = readout(hb[:, 1:], theta, loss_kind)
     else:
         preds = member_major(pred)
     # d(loss)/d(readout) is (prediction - target) for both loss kinds.
@@ -362,14 +360,14 @@ def lstm_window_gradient(
         gi, gf, go, gg = gates
         tc = np.tanh(c[1:])
     hb = member_major(h)
-    preds = predictions(hb[:, 1:], theta, loss_kind) if mode == "replay" else member_major(pred)
+    preds = readout(hb[:, 1:], theta, loss_kind) if mode == "replay" else member_major(pred)
     resid_w = (preds - member_major(d)) * weights
     grads = _lstm_backward(w, theta, hb, c[:-1], gi, gf, go, gg, tc, xb, resid_w)
     states = [("hidden state", h.swapaxes(0, 1)), ("cell state", c.swapaxes(0, 1))]
     return grads, first_failures((states if mode == "replay" else []) + _gradient_checks(grads))
 
 
-def window_gradient(tape: ActivationTape, params, family, mode: str, loss_kind: str, weights):
+def _window_gradient(tape: ActivationTape, params, family, mode: str, loss_kind: str, weights):
     """Loss-weighted window gradients of every run on the tape, through the
     kernel of the family of the parameters `family`: params are (B, ...)
     stacks keyed like param_blocks. Returns (grads, failed) as the family
@@ -398,7 +396,6 @@ def smoothed_loss(tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED) -
     Replay semantics: the window is re-run from the anchor with the given
     parameters, so this is a function of (tape contents, params).
     """
-    _window_length(tape)
     blocks = {name: a[None] for name, a in param_blocks(params)}
     return float(_smoothed_loss(tape, blocks, params, loss_kind)[0])
 
@@ -406,6 +403,9 @@ def smoothed_loss(tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED) -
 def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.ndarray:
     """Replay mean losses (B,) of a one-run tape under (B, ...) stacks keyed
     like param_blocks of the family of `family`, as B members of one call."""
+    if tape.state.shape[0] != 1:
+        raise ValueError(f"expected a one-run tape, got {tape.state.shape[0]} members")
+    _window_length(tape)
     batch = len(blocks["theta_out"])
     xb = np.repeat(member_major(tape.x), batch, axis=0)
     h0 = np.repeat(tape.h[0], batch, axis=0)
@@ -417,40 +417,30 @@ def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.n
         h = elman_forward(xb, h0[..., None], w, blocks["u"], active)[..., 0]
     else:
         raise TypeError(f"unknown parameter type {type(family).__name__}")
-    preds = predictions(member_major(h)[:, 1:], blocks["theta_out"], loss_kind)
+    preds = readout(member_major(h)[:, 1:], blocks["theta_out"], loss_kind)
     return np.mean(losses(preds, tape.d[:, 0], loss_kind), axis=-1)
 
 
 def tbptt_gradient(
-    tape: ActivationTape,
-    params,
-    mode: str = "replay",
-    loss_kind: str = LOSS_SQUARED,
-) -> dict[str, np.ndarray]:
-    """Gradient of the time-smoothed loss w.r.t. every parameter block."""
+    tape: ActivationTape, params, family, mode: str = "replay", loss_kind: str = LOSS_SQUARED
+):
+    """Gradients of the time-smoothed loss, the mean of the window's losses,
+    of every run on the tape: params are (B, ...) stacks keyed like
+    param_blocks of the family of the parameters `family`. Returns the
+    gradient stacks and, per member, the first non-finite quantity or None."""
     if mode not in GRADIENT_MODES:
         raise ValueError(f"mode must be one of {GRADIENT_MODES}, got {mode!r}")
     m = _window_length(tape)
-    return _tape_gradient(tape, params, mode, loss_kind, np.full(m, 1.0 / m))
+    return _window_gradient(tape, params, family, mode, loss_kind, np.full(m, 1.0 / m))
 
 
-def instant_gradient(
-    tape: ActivationTape, params, loss_kind: str = LOSS_SQUARED
-) -> dict[str, np.ndarray]:
-    """Classical TBPTT: gradient of the newest loss backpropagated through
-    the stored activations, truncated at the tape anchor."""
+def instant_gradient(tape: ActivationTape, params, family, loss_kind: str = LOSS_SQUARED):
+    """Classical TBPTT, as tbptt_gradient returns it: the gradient of the
+    newest loss backpropagated through the stored activations, truncated at
+    the tape anchor."""
     weights = np.zeros(_window_length(tape))
     weights[-1] = 1.0
-    return _tape_gradient(tape, params, "cached", loss_kind, weights)
-
-
-def _tape_gradient(tape: ActivationTape, params, mode: str, loss_kind: str, weights: np.ndarray):
-    # The B = 1 case of window_gradient, for one tape.
-    blocks = {name: a[None] for name, a in param_blocks(params)}
-    grads, failed = window_gradient(tape, blocks, params, mode, loss_kind, weights)
-    if failed[0] is not None:
-        raise NumericOverflowError(tape.t, failed[0])
-    return {name: g[0] for name, g in grads.items()}
+    return _window_gradient(tape, params, family, "cached", loss_kind, weights)
 
 
 def fd_gradient(
@@ -458,13 +448,13 @@ def fd_gradient(
 ) -> dict[str, np.ndarray]:
     """Central finite differences of the replay smoothed loss, every entry.
 
-    The brute-force counterpart of ``tbptt_gradient(..., mode="replay")``.
+    The brute-force counterpart of ``tbptt_gradient(..., mode="replay")``
+    at B = 1.
     Clockwork-masked entries come out exactly zero because the forward pass
     multiplies them away.
     """
     if not (1e-8 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-8, 1e-3], got {eps}")
-    _window_length(tape)
     blocks = dict(param_blocks(params))
     grads: dict[str, np.ndarray] = {}
     for name, arr in blocks.items():

@@ -3,7 +3,10 @@ multi-seed aggregation, and CSV emission.
 
 There is one online loop: run_batch trains the seeds of any config in
 lockstep, every model and optimizer, regret, smoothness and gradient-bound
-instrumentation included. run_single is its one-seed batch.
+instrumentation included. Each step is models.step_model and models.readout
+over the (B, ...) parameter stacks, then one gradient call over the tape:
+gradients.tbptt_gradient for WOGD, gradients.instant_gradient for the
+baselines. run_single is its one-seed batch.
 
 Config files are flat ``key = value`` text ('#' starts a comment), versioned
 with a ``schema_version`` key. Recognized keys:
@@ -71,7 +74,8 @@ from .gradients import (
     ActivationTape,
     NumericOverflowError,
     elman_window_gradient,
-    window_gradient,
+    instant_gradient,
+    tbptt_gradient,
 )
 from .linalg import frobenius_norms
 from .optim import BaselineConfig, WogdConfig, baseline_step, projected_gradient, wogd_step
@@ -235,6 +239,8 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
             values[name] = _COERCE[name](value)
         except (TypeError, ValueError):
             problems.append(f"bad value for {key!r}: {value!r}")
+    if values.get("seeds") == ():  # a seeds key that lists none; no key means 1..eval_runs
+        problems.append(f"seeds lists no seed: {raw['seeds']!r}")
 
     for required in _REQUIRED:
         if required not in values:
@@ -496,15 +502,16 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     over the number of seeds.
 
     The first-order baselines (sgd, rmsprop, adam) backpropagate the newest
-    loss through the recorded activations of the last tape_depth steps and
-    update every block. WOGD descends the window's mean loss; its
-    instrumentation runs over the member stacks: at every step the
-    closed-form gradient ceiling (an AssertionError when violated), and on
-    every regret_every-th step the smoothness probe after the update, which
-    replays the window at the new hidden weights and the old output weights.
-    Step t + 1's replay runs at the same hidden weights, so once the window
-    is full and before the last step that call also replays the next window
-    (one step on, from the next anchor, at the new output weights) as B more
+    loss through the recorded activations of the last tape_depth steps
+    (instant_gradient) and update every block. WOGD descends the window's
+    mean loss (tbptt_gradient); its instrumentation runs over the member
+    stacks: at every step the closed-form gradient ceiling (an AssertionError
+    when violated), and on every regret_every-th step the smoothness probe
+    after the update, which replays the window at the new hidden weights and
+    the old output weights. Step t + 1's replay runs at the same hidden
+    weights, so once the window is full and before the last step the probe
+    is one elman_window_gradient call that also replays the next window (one
+    step on, from the next anchor, at the new output weights) as B more
     members, and step t + 1 takes its gradient from there instead of calling
     the kernel again. A sampled step only keeps its stacks (parameters before
     and after the update, gradients, probe gradients); the regret and
@@ -540,7 +547,6 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     zeros = np.zeros((len(seeds), cfg.n_h))
     tape = ActivationTape(cfg.tape_depth, zeros, n_x, zeros if lstm else None)
     opt = _optimizer(cfg)
-    mode = cfg.gradient_mode if wogd else "cached"
     moments: dict = {}  # (moment, block) -> (B, ...) stack, for rmsprop and adam
     instrumented = cfg.record_regret or cfg.record_smoothness
     ledger = analysis.RegretLedger() if instrumented else None  # with a member axis
@@ -560,22 +566,18 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         x_t, d_t = stream.at(t)
 
         # the online step: the m = 1 case of the kernels the replay runs
-        h_new, gates = models.online_step(
+        h_new, gates = models.step_model(
             template, params, x_t, tape.state, tape.c[-1] if lstm else None, t
         )
-        pred = models.predictions(h_new[:, None], params["theta_out"], loss_kind)[:, 0]
+        pred = models.readout(h_new[:, None], params["theta_out"], loss_kind)[:, 0]
         tape.push(x_t, d_t, pred, h_new, gates)
 
-        m = len(tape)
-        if wogd:
-            weights = np.full(m, 1.0 / m)
-        else:  # the newest loss only
-            weights = np.zeros(m)
-            weights[-1] = 1.0
-        if pending is None:
-            grads, failed = window_gradient(tape, params, template, mode, loss_kind, weights)
-        else:
+        if pending is not None:
             (grads, failed), pending = pending, None
+        elif wogd:
+            grads, failed = tbptt_gradient(tape, params, template, cfg.gradient_mode, loss_kind)
+        else:
+            grads, failed = instant_gradient(tape, params, template, loss_kind)
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
         probing = sampled and cfg.record_smoothness
         before = params  # both updates return new stacks
@@ -591,21 +593,21 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         if probing:
             # the same windowed loss at (new w, new u, old theta_out)
             w, u, theta = params["w"], params["u"], params["theta_out"]
-            if m == cfg.window and t < total:
+            if len(tape) == cfg.window and t < total:
                 # members B..2B-1: step t + 1's replay at (new w, new u, new theta_out)
                 batch = len(order)
                 both, probe_failed = elman_window_gradient(
                     *_paired_windows(tape, *stream.at(t + 1)),
                     np.concatenate([w, w]), np.concatenate([u, u]),
-                    np.concatenate([before["theta_out"], theta]), "replay", loss_kind, weights,
-                    template,
+                    np.concatenate([before["theta_out"], theta]), "replay", loss_kind,
+                    np.full(cfg.window, 1.0 / cfg.window), template,
                 )
                 after = {k: g[:batch] for k, g in both.items()}
                 pending = {k: g[batch:] for k, g in both.items()}, probe_failed[batch:]
             else:
-                after, probe_failed = window_gradient(
+                after, probe_failed = tbptt_gradient(
                     tape, {**params, "theta_out": before["theta_out"]}, template, "replay",
-                    loss_kind, weights,
+                    loss_kind,
                 )
         if sampled:
             block.append((before, grads, after, params))
@@ -718,6 +720,8 @@ def grid_search(cfg: ExperimentConfig, grid, tuning_seeds=None):
     if not grid:
         raise ConfigError("learning-rate grid is empty")
     seeds = tuple(tuning_seeds) if tuning_seeds is not None else cfg.tuning_seeds()
+    if not seeds:
+        raise ConfigError("tuning seed list is empty")
     key = "eta" if cfg.optimizer == "wogd" else "learning_rate"
     candidates = [_validate(replace(cfg, seeds=seeds, **{key: rate})) for rate in grid]
     rows = []

@@ -7,15 +7,14 @@ appending a constant 1.0 to the input vector (so n_x counts that dimension).
 
 Each family has one forward kernel over a window of m steps of B runs:
 ``elman_forward`` (SRNN, and the clockwork RNN through ``clockwork``) and
-``lstm_forward``; ``predictions`` is the one readout. The online step
-``online_step`` is the m = 1 case of its family's kernel, ``step_model`` its
-one-run case and ``readout`` the m = 1 case of ``predictions``, so the online
-loop and the replay of a window run the same recurrence. LstmParams hold
-the gate stacks lstm_forward takes, gates in the order i, f, o, g. A
-CwrnnParams is an SrnnParams with clock periods: the Elman triple
-(w, u, theta_out) and its shape checks are the SRNN's.
-Parameters and states are treated as immutable values; every step returns a
-fresh state.
+``lstm_forward``; ``readout`` is the one readout. The online step
+``step_model`` is the m = 1 case of its family's kernel over (B, ...)
+parameter stacks, one run being the B = 1 case, so the online loop and the
+replay of a window run the same recurrence. LstmParams hold the gate stacks
+lstm_forward takes, gates in the order i, f, o, g. A CwrnnParams is an
+SrnnParams with clock periods: the Elman triple (w, u, theta_out) and its
+shape checks are the SRNN's. Parameters are treated as immutable values;
+every step returns fresh states.
 """
 
 from __future__ import annotations
@@ -36,18 +35,9 @@ def sigmoid(z):
 
 
 @dataclass(frozen=True)
-class HiddenState:
-    """Hidden state at timestep t; c is the LSTM cell and is None otherwise."""
-
-    h: np.ndarray
-    t: int = 0
-    c: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class LstmGates:
-    """Per-step gate activations cached for backpropagation: (n_h,) arrays
-    for one run, (B, n_h) for B runs."""
+    """Per-step gate activations of B runs, (B, n_h) arrays, cached for
+    backpropagation."""
 
     i: np.ndarray
     f: np.ndarray
@@ -160,13 +150,6 @@ class CwrnnParams(SrnnParams):
         return (np.asarray(t)[..., None] % self.unit_periods()) == 0
 
 
-def zero_state(params, t: int = 0) -> HiddenState:
-    """All-zero initial hidden state (with a zero cell for the LSTM)."""
-    h = np.zeros(params.n_h)
-    c = np.zeros(params.n_h) if isinstance(params, LstmParams) else None
-    return HiddenState(h=h, t=t, c=c)
-
-
 def member_major(a: np.ndarray) -> np.ndarray:
     """A time-major (m, B, ...) array as a C-contiguous (B, m, ...) one."""
     return np.ascontiguousarray(a.swapaxes(0, 1))
@@ -271,14 +254,14 @@ def lstm_forward(
     return h, c, gi, gf, go, gg, tc
 
 
-def predictions(h: np.ndarray, theta: np.ndarray, loss_kind: str) -> np.ndarray:
+def readout(h: np.ndarray, theta: np.ndarray, loss_kind: str) -> np.ndarray:
     """Readouts theta^T h_t of the states h (..., m, n_h) under theta
     (..., n_h), through the sigmoid for the cross-entropy loss."""
     z = np.matmul(h, theta[..., None])[..., 0]
     return sigmoid(z) if loss_kind == LOSS_CROSS_ENTROPY else z
 
 
-def online_step(family, blocks, x: np.ndarray, h: np.ndarray, c: np.ndarray | None, t: int):
+def step_model(family, blocks, x: np.ndarray, h: np.ndarray, c: np.ndarray | None, t: int):
     """One online step at timestep t of B runs of the family of the
     parameters `family`, the m = 1 case of elman_forward or lstm_forward:
     blocks are (B, ...) stacks keyed like param_blocks, inputs x (B|1, n_x),
@@ -291,30 +274,6 @@ def online_step(family, blocks, x: np.ndarray, h: np.ndarray, c: np.ndarray | No
         raise TypeError(f"unknown parameter type {type(family).__name__}")
     w, active = clockwork(blocks["w"], family, [t])
     return elman_forward(x[:, None], h[..., None], w, blocks["u"], active)[1, :, :, 0], None
-
-
-def step_model(params, s: HiddenState, x: np.ndarray) -> tuple[HiddenState, LstmGates | None]:
-    """One online step from state s on input x at timestep s.t + 1, the
-    B = 1 case of online_step; returns the new state and, for the LSTM, the
-    step's gates."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_vec("x", x, params.n_x)
-    _check_vec("h", s.h, params.n_h)
-    lstm = isinstance(params, LstmParams)
-    if lstm and s.c is None:
-        raise ValueError("LSTM state requires a cell vector c")
-    blocks = {name: a[None] for name, a in param_blocks(params)}
-    h, gates = online_step(params, blocks, x[None], s.h[None], s.c[None] if lstm else None, s.t + 1)
-    if gates is None:
-        return HiddenState(h=h[0], t=s.t + 1), None
-    gates = LstmGates(*(getattr(gates, f.name)[0] for f in dataclasses.fields(gates)))
-    return HiddenState(h=h[0], t=s.t + 1, c=gates.c_new), gates
-
-
-def readout(params, s: HiddenState, loss_kind: str) -> float:
-    """The prediction from state s under params.theta_out, the m = 1 case of
-    predictions."""
-    return float(predictions(s.h[None], params.theta_out, loss_kind)[0])
 
 
 def param_blocks(params) -> list[tuple[str, np.ndarray]]:

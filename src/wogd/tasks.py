@@ -178,10 +178,6 @@ class BinaryAddState:
             raise ValueError(f"number of summand sequences must be 2 or 3, got {self.n}")
 
 
-def binary_add_state(n: int, seed: int) -> BinaryAddState:
-    return BinaryAddState(n=n, rng=np.random.default_rng(seed))
-
-
 def add_step(bits, carry: int) -> tuple[int, int]:
     """Binary-addition arithmetic: sum bit and next carry for one column."""
     s = int(np.sum(bits)) + carry

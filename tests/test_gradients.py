@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 from wogd import gradients, models
 from wogd.gradients import (
     ActivationTape,
-    NumericOverflowError,
     elman_window_gradient,
     fd_gradient,
     instant_gradient,
     lstm_window_gradient,
     smoothed_loss,
     tbptt_gradient,
-    window_gradient,
 )
 from wogd.harness import ExperimentConfig, run_batch
 from wogd.models import (
-    HiddenState,
     LstmGates,
     LstmParams,
     SrnnParams,
@@ -31,13 +28,11 @@ from wogd.models import (
     lstm_forward,
     member_major,
     param_blocks,
-    predictions,
     random_cwrnn,
     random_lstm,
     random_srnn,
     readout,
     step_model,
-    zero_state,
 )
 from wogd.tasks import CROSS_ENTROPY_CLAMP, LOSS_CROSS_ENTROPY, LOSS_SQUARED
 
@@ -48,21 +43,36 @@ MAKERS = {
 }
 
 
+def one_run(params):
+    """params as the (1, ...) stacks of one run, keyed like param_blocks."""
+    return {name: a[None] for name, a in param_blocks(params)}
+
+
 def drive(params, steps, rng, loss_kind=LOSS_SQUARED, capacity=None):
-    """Run the model over random data, pushing each step onto a fresh tape."""
-    state = zero_state(params)
-    tape = ActivationTape(capacity or steps, state.h, params.n_x, state.c)
-    for _ in range(steps):
-        x = rng.uniform(-1.0, 1.0, params.n_x)
+    """Run the model at B = 1 over random data, pushing each step onto a
+    fresh tape."""
+    blocks = one_run(params)
+    h = np.zeros((1, params.n_h))
+    c = h if isinstance(params, LstmParams) else None
+    tape = ActivationTape(capacity or steps, h, params.n_x, c)
+    for t in range(1, steps + 1):
+        x = rng.uniform(-1.0, 1.0, (1, params.n_x))
         if loss_kind == LOSS_SQUARED:
             d = rng.uniform(-1.0, 1.0)
         else:
             d = float(rng.integers(0, 2))
-        new_state, gates = step_model(params, state, x)
-        pred = readout(params, new_state, loss_kind)
-        tape.push(x, d, pred, new_state.h, gates)
-        state = new_state
+        h, gates = step_model(params, blocks, x, h, c, t)
+        c = None if gates is None else gates.c_new
+        tape.push(x, d, readout(h, params.theta_out, loss_kind), h, gates)
     return tape
+
+
+def tbptt(tape, params, mode="replay", loss_kind=LOSS_SQUARED):
+    """tbptt_gradient of the one run on the tape under params, as blocks
+    shaped like params'; the run's gradient must be finite."""
+    grads, failed = tbptt_gradient(tape, one_run(params), params, mode, loss_kind)
+    assert failed == [None]
+    return {name: g[0] for name, g in grads.items()}
 
 
 def scalar_loss(pred, d, loss_kind):
@@ -74,14 +84,14 @@ def scalar_loss(pred, d, loss_kind):
 
 
 def naive_smoothed_loss(tape, params, loss_kind):
-    """Oracle: per-step replay with the plain step functions."""
-    c = None if tape.c is None else tape.c[0, 0]
-    state = HiddenState(h=tape.h[0, 0], t=int(tape.ts[0]) - 1, c=c)
+    """Oracle: per-step replay with the online step, one loss at a time."""
+    blocks = one_run(params)
+    h, c = tape.h[0], None if tape.c is None else tape.c[0]
     total = 0.0
-    for x, d in zip(tape.x[:, 0], tape.d[:, 0]):
-        state, _ = step_model(params, state, x)
-        pred = readout(params, state, loss_kind)
-        total += scalar_loss(pred, d, loss_kind)
+    for t, x, d in zip(tape.ts, tape.x, tape.d[:, 0]):
+        h, gates = step_model(params, blocks, x, h, c, t)
+        c = None if gates is None else gates.c_new
+        total += scalar_loss(float(readout(h, params.theta_out, loss_kind)[0]), d, loss_kind)
     return total / len(tape)
 
 
@@ -95,7 +105,7 @@ def reference_smoothed_loss(tape, params, loss_kind):
     else:
         w, active = clockwork(params.w[None], params, tape.ts)
         h = elman_forward(x, tape.h[0][..., None], w, params.u[None], active)[:, 0, :, 0]
-    preds, d = predictions(h[1:], params.theta_out, loss_kind), tape.d[:, 0]
+    preds, d = readout(h[1:], params.theta_out, loss_kind), tape.d[:, 0]
     if loss_kind == LOSS_SQUARED:
         return float(np.mean(0.5 * (preds - d) * (preds - d)))
     p = np.clip(preds, CROSS_ENTROPY_CLAMP, 1.0 - CROSS_ENTROPY_CLAMP)
@@ -149,12 +159,12 @@ class TestTape:
     def test_push_onto_empty(self):
         rng = np.random.default_rng(0)
         p = random_srnn(2, 2, 0.3, rng)
-        state = zero_state(p)
-        tape = ActivationTape(4, state.h, 2)
-        new_state, _ = step_model(p, state, np.zeros(2))
-        tape.push(np.zeros(2), 0.0, 0.0, new_state.h)
+        h0 = np.zeros((1, 2))
+        tape = ActivationTape(4, h0, 2)
+        h, _ = step_model(p, one_run(p), np.zeros((1, 2)), h0, None, 1)
+        tape.push(np.zeros(2), 0.0, 0.0, h)
         assert len(tape) == 1
-        np.testing.assert_array_equal(tape.h[0, 0], state.h)
+        np.testing.assert_array_equal(tape.h[0], h0)
         np.testing.assert_array_equal(tape.ts, [1])
 
     def test_eviction_advances_anchor(self):
@@ -225,35 +235,47 @@ class TestTape:
         # recomputation at every point.
         rng = np.random.default_rng(3)
         p = random_srnn(3, 2, 0.4, rng)
-        state = zero_state(p)
-        tape = ActivationTape(4, state.h, 2)
-        for _ in range(9):
-            x = rng.uniform(-1, 1, 2)
+        h = np.zeros((1, 3))
+        tape = ActivationTape(4, h, 2)
+        for t in range(1, 10):
+            x = rng.uniform(-1, 1, (1, 2))
             d = rng.uniform(-1, 1)
-            new_state, _ = step_model(p, state, x)
-            pred = readout(p, new_state, LOSS_SQUARED)
-            tape.push(x, d, pred, new_state.h)
-            state = new_state
+            h, _ = step_model(p, one_run(p), x, h, None, t)
+            tape.push(x, d, readout(h, p.theta_out, LOSS_SQUARED), h)
             assert smoothed_loss(tape, p) == pytest.approx(
                 naive_smoothed_loss(tape, p, LOSS_SQUARED), abs=1e-14
             )
 
     def test_empty_tape_rejected(self):
         p = random_srnn(2, 2, 0.3, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            smoothed_loss(ActivationTape(3, np.zeros(2), 2), p)
+        empty = ActivationTape(3, np.zeros(2), 2)
+        for operation in (
+            lambda: smoothed_loss(empty, p),
+            lambda: tbptt_gradient(empty, one_run(p), p),
+            lambda: instant_gradient(empty, one_run(p), p),
+        ):
+            with pytest.raises(ValueError, match="^tape is empty$"):
+                operation()
 
     def test_single_run_operations_need_a_one_run_tape(self):
+        # smoothed_loss and fd_gradient read one run; the gradients take a
+        # tape of B runs, but an LSTM's needs the cells
         rng = np.random.default_rng(4)
+        p = random_srnn(2, 2, 0.3, rng)
         tape = ActivationTape(3, np.zeros((2, 2)), 2)
         tape.push(np.zeros((2, 2)), np.zeros(2), np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="one-run"):
-            tbptt_gradient(tape, random_srnn(2, 2, 0.3, rng))
+        for operation in (smoothed_loss, fd_gradient):
+            with pytest.raises(ValueError, match="one-run"):
+                operation(tape, p)
         lstm = random_lstm(2, 2, 0.3, rng)
-        elman_tape = drive(random_srnn(2, 2, 0.3, rng), 3, rng)
-        for operation in (tbptt_gradient, smoothed_loss):
+        elman_tape = drive(p, 3, rng)
+        for operation in (
+            lambda: tbptt_gradient(elman_tape, one_run(lstm), lstm),
+            lambda: instant_gradient(elman_tape, one_run(lstm), lstm),
+            lambda: smoothed_loss(elman_tape, lstm),
+        ):
             with pytest.raises(ValueError, match="anchor cell"):
-                operation(elman_tape, lstm)
+                operation()
 
 
 class TestSmoothedLoss:
@@ -267,12 +289,11 @@ class TestSmoothedLoss:
     def test_two_step_arithmetic(self):
         # residuals 1 and 3 -> (0.5*1 + 0.5*9) / 2 = 2.5
         p = SrnnParams(w=np.zeros((1, 1)), u=np.zeros((1, 1)), theta_out=np.zeros(1))
-        s0 = zero_state(p)
-        tape = ActivationTape(2, s0.h, 1)
-        s1, _ = step_model(p, s0, np.zeros(1))
-        s2, _ = step_model(p, s1, np.zeros(1))
-        tape.push(np.zeros(1), -1.0, 0.0, s1.h)
-        tape.push(np.zeros(1), -3.0, 0.0, s2.h)
+        h = np.zeros((1, 1))
+        tape = ActivationTape(2, h, 1)
+        for t, d in ((1, -1.0), (2, -3.0)):
+            h, _ = step_model(p, one_run(p), np.zeros((1, 1)), h, None, t)
+            tape.push(np.zeros(1), d, 0.0, h)
         assert smoothed_loss(tape, p) == pytest.approx(2.5, abs=1e-15)
 
     def test_matches_naive_loop(self):
@@ -297,7 +318,7 @@ class TestReplayGradient:
         p = random_srnn(3, 2, 0.4, rng)
         p = dataclasses.replace(p, theta_out=np.zeros(3))
         tape = drive(p, 6, rng)
-        g = tbptt_gradient(tape, p)
+        g = tbptt(tape, p)
         np.testing.assert_array_equal(g["w"], 0.0)
         np.testing.assert_array_equal(g["u"], 0.0)
         expected = -np.mean(tape.d[:, 0, None] * tape.h[1:, 0], axis=0)
@@ -308,12 +329,11 @@ class TestReplayGradient:
         # L = 0.5 (d - theta*tanh(u x))^2 with W unused at the zero anchor.
         w0, u0, th0, x0, d0 = 0.3, 0.7, 1.2, 0.5, 0.4
         p = SrnnParams(w=np.array([[w0]]), u=np.array([[u0]]), theta_out=np.array([th0]))
-        s0 = zero_state(p)
-        tape = ActivationTape(1, s0.h, 1)
-        s1, _ = step_model(p, s0, np.array([x0]))
-        pred = readout(p, s1, LOSS_SQUARED)
-        tape.push(np.array([x0]), d0, pred, s1.h)
-        g = tbptt_gradient(tape, p)
+        h0, x = np.zeros((1, 1)), np.array([[x0]])
+        tape = ActivationTape(1, h0, 1)
+        h1, _ = step_model(p, one_run(p), x, h0, None, 1)
+        tape.push(x, d0, readout(h1, p.theta_out, LOSS_SQUARED), h1)
+        g = tbptt(tape, p)
         h = math.tanh(u0 * x0)
         resid = th0 * h - d0
         assert g["theta_out"][0] == pytest.approx(resid * h, abs=1e-12)
@@ -329,7 +349,7 @@ class TestReplayGradient:
                 n_h = int(rng.choice([2, 4]))
                 p = MAKERS[arch](n_h, 3, rng)
                 tape = drive(p, steps, rng, kind, capacity=w)
-                g = tbptt_gradient(tape, p, "replay", kind)
+                g = tbptt(tape, p, "replay", kind)
                 f = fd_gradient(tape, p, 1e-6, kind)
                 assert max_rel_err(g, f) <= 1e-5
 
@@ -340,19 +360,22 @@ class TestReplayGradient:
         for name, make in MAKERS.items():
             p = make(4, 3, rng)
             tape = drive(p, 5, rng, capacity=1)
-            g_replay = tbptt_gradient(tape, p, "replay")
-            g_instant = instant_gradient(tape, p)
+            g_replay = tbptt(tape, p, "replay")
+            g_instant, failed = instant_gradient(tape, one_run(p), p)
+            assert failed == [None]
             for key in g_replay:
-                np.testing.assert_allclose(g_replay[key], g_instant[key], atol=1e-12)
+                np.testing.assert_allclose(g_replay[key], g_instant[key][0], atol=1e-12)
 
     def test_overflow_identifies_timestep(self):
         rng = np.random.default_rng(8)
         p = random_srnn(3, 2, 0.4, rng)
         tape = drive(p, 4, rng)
         bad = dataclasses.replace(p, theta_out=np.array([np.inf, 0.0, 0.0]))
-        with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
-            tbptt_gradient(tape, bad)
-        assert err.value.timestep == tape.t == 4
+        # the member's first non-finite block, which the online loop raises
+        # as a NumericOverflowError at its timestep
+        with np.errstate(invalid="ignore"):
+            _, failed = tbptt_gradient(tape, one_run(bad), bad)
+        assert failed == ["gradient block 'w'"]
 
 
 class TestCachedGradient:
@@ -363,8 +386,8 @@ class TestCachedGradient:
         for name, make in MAKERS.items():
             p = make(4, 3, rng)
             tape = drive(p, 8, rng)
-            g_replay = tbptt_gradient(tape, p, "replay")
-            g_cached = tbptt_gradient(tape, p, "cached")
+            g_replay = tbptt(tape, p, "replay")
+            g_cached = tbptt(tape, p, "cached")
             for key in g_replay:
                 np.testing.assert_allclose(g_cached[key], g_replay[key], atol=1e-12)
 
@@ -373,16 +396,16 @@ class TestCachedGradient:
         p = random_srnn(4, 3, 0.4, rng)
         tape = drive(p, 8, rng)
         q = random_srnn(4, 3, 0.4, rng)
-        g_replay = tbptt_gradient(tape, q, "replay")
-        g_cached = tbptt_gradient(tape, q, "cached")
+        g_replay = tbptt(tape, q, "replay")
+        g_cached = tbptt(tape, q, "cached")
         assert max_rel_err(g_cached, g_replay) > 1e-3
 
     def test_rejects_unknown_mode(self):
         rng = np.random.default_rng(11)
         p = random_srnn(2, 2, 0.3, rng)
         tape = drive(p, 2, rng)
-        with pytest.raises(ValueError):
-            tbptt_gradient(tape, p, "other")
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            tbptt_gradient(tape, one_run(p), p, "other")
 
 
 class TestFdGradient:
@@ -400,7 +423,7 @@ class TestFdGradient:
         p = random_srnn(3, 2, 0.4, rng)
         tape = drive(p, 5, rng)
         f = fd_gradient(tape, p, 1e-6)
-        g = tbptt_gradient(tape, p)
+        g = tbptt(tape, p)
         np.testing.assert_allclose(f["theta_out"], g["theta_out"], atol=1e-9)
 
     def test_zero_net_symmetry(self):
@@ -488,7 +511,7 @@ class TestGradientNormBound:
             theta /= max(1.0, np.linalg.norm(theta))
             p = SrnnParams(w=w, u=u, theta_out=theta)
             tape = drive(p, 20, rng, capacity=10)
-            g = tbptt_gradient(tape, p)
+            g = tbptt(tape, p)
             assert np.linalg.norm(g["w"]) <= bound_w + 1e-9
             assert np.linalg.norm(g["u"]) <= bound_u + 1e-9
 
@@ -537,11 +560,11 @@ class TestLockstepKernel:
         )
         assert failed == [None] * batch
         for b, (p, tape) in enumerate(zip(members, tapes)):
-            single = tbptt_gradient(tape, p, mode, kind)
+            single = tbptt(tape, p, mode, kind)
             for name, g in single.items():
                 assert np.array_equal(grads[name][b], g), name
         if mode == "replay":
-            g = tbptt_gradient(tapes[0], members[0], "replay", kind)
+            g = tbptt(tapes[0], members[0], "replay", kind)
             assert max_rel_err(g, fd_gradient(tapes[0], members[0], 1e-6, kind)) <= 1e-5
 
     @settings(max_examples=40)
@@ -585,10 +608,10 @@ class TestLockstepKernel:
             alone = lstm_forward(member_major(tape.x), tape.h[0], tape.c[0], *stacks)
             for got, want in zip(forward, alone):
                 assert np.array_equal(got[:, b], want[:, 0])
-            for name, g in tbptt_gradient(tape, p, mode, kind).items():
+            for name, g in tbptt(tape, p, mode, kind).items():
                 assert np.array_equal(grads[name][b], g), name
         if mode == "replay":
-            g = tbptt_gradient(tapes[0], members[0], "replay", kind)
+            g = tbptt(tapes[0], members[0], "replay", kind)
             assert max_rel_err(g, fd_gradient(tapes[0], members[0], 1e-5, kind)) <= 1e-5
 
 
@@ -614,7 +637,7 @@ class TestLstmKernelOperands:
         x, h, c = rng.uniform(-1.0, 1.0, (2, 2)), np.zeros((2, 3)), np.zeros((2, 3))
         weights = np.full(4, 0.25)
         runs = [
-            (two, lambda: models.online_step(p, two, x, h, c, 7)),
+            (two, lambda: models.step_model(p, two, x, h, c, 7)),
             (one, lambda: lstm_window_gradient(
                 tape.x, tape.d, tape.pred, tape.h, tape.c, tape.gates, one, "replay",
                 LOSS_SQUARED, weights,
@@ -698,12 +721,11 @@ class TestLoopLayout:
         family = MAKERS[arch](self.N_H, self.N_X, rng)
         tape = self.batch_tape(batch, 7, rng, lstm=arch == "lstm")
         params = {name: np.stack([a] * batch) for name, a in param_blocks(family)}
-        weights = np.full(7, 1.0 / 7)
-        window_gradient(tape, params, family, mode, LOSS_SQUARED, weights)
+        tbptt_gradient(tape, params, family, mode, LOSS_SQUARED)
         kept = [b for b in range(batch) if b != 1]
         tape.keep(kept)
         params = {name: a[kept] for name, a in params.items()}
-        window_gradient(tape, params, family, mode, LOSS_SQUARED, weights)
+        tbptt_gradient(tape, params, family, mode, LOSS_SQUARED)
         assert calls
         assert self.strided(calls, gate_columns=arch == "lstm") == []
 

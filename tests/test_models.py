@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wogd.linalg import spectral_norm
 from wogd.models import (
     CwrnnParams,
-    HiddenState,
     LstmParams,
     SrnnParams,
     clockwork,
@@ -25,7 +24,6 @@ from wogd.models import (
     readout,
     sigmoid,
     step_model,
-    zero_state,
 )
 from wogd.tasks import LOSS_CROSS_ENTROPY, LOSS_SQUARED
 
@@ -55,6 +53,21 @@ def scalar_sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
 
 
+def step(p, h, x, t, c=None):
+    """One online step of one run at timestep t: step_model on B = 1 stacks,
+    from the state h and, for the LSTM, the cell c, (n_h,). Returns the new
+    state (n_h,) and, for the LSTM, the step's gates as (1, n_h) arrays."""
+    blocks = {name: a[None] for name, a in param_blocks(p)}
+    c = None if c is None else np.asarray(c)[None]
+    h, gates = step_model(p, blocks, np.asarray(x)[None], np.asarray(h)[None], c, t)
+    return h[0], gates
+
+
+def read(p, h, loss_kind):
+    """The readout of one state h (n_h,) under p.theta_out, as a float."""
+    return float(readout(np.asarray(h)[None], p.theta_out, loss_kind)[0])
+
+
 def reference_random_lstm(n_h, n_x, std, rng):
     """The per-gate draw random_lstm stacks: blocks w_k (n_h, n_h),
     u_k (n_h, n_x) and b_k (n_h,) drawn gate by gate in the order i, f, o, g,
@@ -71,14 +84,13 @@ def reference_random_lstm(n_h, n_x, std, rng):
 class TestSrnn:
     def test_zero_weights(self):
         p = SrnnParams(w=np.zeros((3, 3)), u=np.zeros((3, 2)), theta_out=np.zeros(3))
-        s, _ = step_model(p, zero_state(p), np.array([0.5, -0.5]))
-        np.testing.assert_array_equal(s.h, np.zeros(3))
-        assert s.t == 1
+        h, _ = step(p, np.zeros(3), np.array([0.5, -0.5]), 1)
+        np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_scalar_closed_form(self):
         p = SrnnParams(w=np.array([[0.0]]), u=np.array([[1.0]]), theta_out=np.array([1.0]))
-        s, _ = step_model(p, zero_state(p), np.array([1.0]))
-        assert s.h[0] == pytest.approx(0.7615941559557649, abs=1e-12)
+        h, _ = step(p, np.zeros(1), np.array([1.0]), 1)
+        assert h[0] == pytest.approx(0.7615941559557649, abs=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(0)
@@ -86,42 +98,33 @@ class TestSrnn:
             p = random_srnn(3, 4, 0.5, rng)
             h = rng.uniform(-1, 1, 3)
             x = rng.uniform(-1, 1, 4)
-            s, _ = step_model(p, HiddenState(h=h, t=5), x)
-            np.testing.assert_allclose(s.h, scalar_srnn_step(p.w, p.u, h, x), atol=1e-14)
-            assert s.t == 6
-
-    def test_dimension_mismatch(self):
-        p = random_srnn(3, 4, 0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            step_model(p, zero_state(p), np.zeros(5))
+            out, _ = step(p, h, x, 6)
+            np.testing.assert_allclose(out, scalar_srnn_step(p.w, p.u, h, x), atol=1e-14)
 
     def test_predict(self):
         p = SrnnParams(w=np.zeros((3, 3)), u=np.zeros((3, 1)), theta_out=np.zeros(3))
-        s = HiddenState(h=np.array([0.5, -0.2, 0.9]), t=1)
-        assert readout(p, s, LOSS_SQUARED) == 0.0
+        h = np.array([0.5, -0.2, 0.9])
+        assert read(p, h, LOSS_SQUARED) == 0.0
         p2 = SrnnParams(w=p.w, u=p.u, theta_out=np.array([1.0, 0.0, 0.0]))
-        assert readout(p2, s, LOSS_SQUARED) == pytest.approx(0.5)
+        assert read(p2, h, LOSS_SQUARED) == pytest.approx(0.5)
 
     def test_predict_matches_scalar_dot(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             p = random_srnn(6, 2, 0.3, rng)
             h = rng.uniform(-1, 1, 6)
-            s = HiddenState(h=h, t=0)
-            out = readout(p, s, LOSS_SQUARED)
-            assert out == pytest.approx(scalar_dot(p.theta_out, h), abs=1e-15)
+            assert read(p, h, LOSS_SQUARED) == pytest.approx(scalar_dot(p.theta_out, h), abs=1e-15)
 
 
 class TestPredictSigmoid:
     def test_zero_readout(self):
         p = random_srnn(4, 2, 0.1, np.random.default_rng(0))
         p = SrnnParams(w=p.w, u=p.u, theta_out=np.zeros(4))
-        assert readout(p, HiddenState(h=np.full(4, 0.3), t=0), LOSS_CROSS_ENTROPY) == 0.5
+        assert read(p, np.full(4, 0.3), LOSS_CROSS_ENTROPY) == 0.5
 
     def test_saturation(self):
         p = SrnnParams(w=np.zeros((1, 1)), u=np.zeros((1, 1)), theta_out=np.array([50.0]))
-        out = readout(p, HiddenState(h=np.array([1.0]), t=0), LOSS_CROSS_ENTROPY)
-        assert out >= 1.0 - 1e-17
+        assert read(p, np.array([1.0]), LOSS_CROSS_ENTROPY) >= 1.0 - 1e-17
 
     def test_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -129,20 +132,19 @@ class TestPredictSigmoid:
             p = random_srnn(5, 2, 0.4, rng)
             h = rng.uniform(-1, 1, 5)
             expected = scalar_sigmoid(scalar_dot(p.theta_out, h))
-            out = readout(p, HiddenState(h=h, t=0), LOSS_CROSS_ENTROPY)
-            assert out == pytest.approx(expected, abs=1e-15)
+            assert read(p, h, LOSS_CROSS_ENTROPY) == pytest.approx(expected, abs=1e-15)
 
 
 class TestLstm:
     def test_all_zero(self):
         p = random_lstm(3, 2, 0.0, np.random.default_rng(0))
-        s, gates = step_model(p, zero_state(p), np.array([1.0, -1.0]))
+        h, gates = step(p, np.zeros(3), np.array([1.0, -1.0]), 1, c=np.zeros(3))
         np.testing.assert_allclose(gates.i, 0.5)
         np.testing.assert_allclose(gates.f, 0.5)
         np.testing.assert_allclose(gates.o, 0.5)
         np.testing.assert_allclose(gates.g, 0.0)
-        np.testing.assert_allclose(s.c, 0.0)
-        np.testing.assert_allclose(s.h, 0.0)
+        np.testing.assert_allclose(gates.c_new, 0.0)
+        np.testing.assert_allclose(h, 0.0)
 
     def test_forget_gate_saturation(self):
         rng = np.random.default_rng(0)
@@ -151,8 +153,8 @@ class TestLstm:
         b[3:6] = 50.0  # the forget gate's rows
         p = LstmParams(w=p.w, u=p.u, b=b, theta_out=p.theta_out)
         c = np.ones(3)
-        s, _ = step_model(p, HiddenState(h=np.zeros(3), t=0, c=c), np.zeros(2))
-        np.testing.assert_allclose(s.c, c, atol=1e-15)
+        _, gates = step(p, np.zeros(3), np.zeros(2), 1, c=c)
+        np.testing.assert_allclose(gates.c_new[0], c, atol=1e-15)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
@@ -161,7 +163,7 @@ class TestLstm:
             h = rng.uniform(-0.9, 0.9, 3)
             c = rng.uniform(-1.5, 1.5, 3)
             x = rng.uniform(-1, 1, 2)
-            s, gates = step_model(p, HiddenState(h=h, t=2, c=c), x)
+            h_new, gates = step(p, h, x, 3, c=c)
             for idx in range(3):
                 # gate k's unit idx is row k * n_h + idx of the stacks
                 zi, zf, zo, zg = (
@@ -170,14 +172,8 @@ class TestLstm:
                 )
                 ci = scalar_sigmoid(zf) * c[idx] + scalar_sigmoid(zi) * math.tanh(zg)
                 hi = scalar_sigmoid(zo) * math.tanh(ci)
-                assert s.c[idx] == pytest.approx(ci, abs=1e-14)
-                assert s.h[idx] == pytest.approx(hi, abs=1e-14)
-            assert s.t == 3
-
-    def test_requires_cell(self):
-        p = random_lstm(3, 2, 0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            step_model(p, HiddenState(h=np.zeros(3), t=0), np.zeros(2))
+                assert gates.c_new[0, idx] == pytest.approx(ci, abs=1e-14)
+                assert h_new[idx] == pytest.approx(hi, abs=1e-14)
 
     @settings(max_examples=60)
     @given(
@@ -213,20 +209,20 @@ class TestCwrnn:
         rng = np.random.default_rng(4)
         p = random_cwrnn(4, 2, (1, 2), 0.4, rng)
         h0 = rng.uniform(-0.5, 0.5, 4)
-        s, _ = step_model(p, HiddenState(h=h0, t=0), rng.uniform(-1, 1, 2))
+        h, _ = step(p, h0, rng.uniform(-1, 1, 2), 1)
         # block 1 (period 1) updates; block 2 (period 2) holds at t=1
-        assert not np.allclose(s.h[:2], h0[:2])
-        np.testing.assert_array_equal(s.h[2:], h0[2:])
+        assert not np.allclose(h[:2], h0[:2])
+        np.testing.assert_array_equal(h[2:], h0[2:])
 
     def test_all_blocks_update_at_t4(self):
         rng = np.random.default_rng(5)
         p = random_cwrnn(6, 2, (1, 2, 4), 0.4, rng)
-        state = HiddenState(h=rng.uniform(-0.5, 0.5, 6), t=3)
+        h0 = rng.uniform(-0.5, 0.5, 6)
         x = rng.uniform(-1, 1, 2)
-        s, _ = step_model(p, state, x)
+        h, _ = step(p, h0, x, 4)
         assert np.all(p.active_units(4))
         masked = p.w * p.recurrent_mask()
-        np.testing.assert_allclose(s.h, np.tanh(masked @ state.h + p.u @ x), atol=1e-15)
+        np.testing.assert_allclose(h, np.tanh(masked @ h0 + p.u @ x), atol=1e-15)
 
     def test_masked_weight_equivalence(self):
         # Same output as an SRNN step on the masked weights with the rows of
@@ -236,11 +232,11 @@ class TestCwrnn:
             p = random_cwrnn(6, 3, (1, 2, 4), 0.5, rng)
             h = rng.uniform(-0.8, 0.8, 6)
             x = rng.uniform(-1, 1, 3)
-            out, _ = step_model(p, HiddenState(h=h, t=t - 1), x)
+            out, _ = step(p, h, x, t)
             srnn = SrnnParams(w=p.w * p.recurrent_mask(), u=p.u, theta_out=p.theta_out)
-            ref = step_model(srnn, HiddenState(h=h, t=t - 1), x)[0].h
+            ref, _ = step(srnn, h, x, t)
             expected = np.where(p.active_units(t), ref, h)
-            np.testing.assert_allclose(out.h, expected, atol=1e-14)
+            np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_all_periods_one_is_srnn(self):
         rng = np.random.default_rng(7)
@@ -249,9 +245,7 @@ class TestCwrnn:
         srnn = SrnnParams(w=p.w, u=p.u, theta_out=p.theta_out)
         h = rng.uniform(-0.5, 0.5, 4)
         x = rng.uniform(-1, 1, 2)
-        out, _ = step_model(p, HiddenState(h=h, t=0), x)
-        ref, _ = step_model(srnn, HiddenState(h=h, t=0), x)
-        np.testing.assert_array_equal(out.h, ref.h)
+        np.testing.assert_array_equal(step(p, h, x, 1)[0], step(srnn, h, x, 1)[0])
 
     def test_rejects_bad_blocks(self):
         rng = np.random.default_rng(8)
@@ -290,14 +284,15 @@ class TestStateBounds:
         srnn = random_srnn(5, 3, 2.0, rng)
         lstm = random_lstm(5, 3, 2.0, rng)
         cw = random_cwrnn(6, 3, (1, 2, 4), 2.0, rng)
-        s1, s2, s3 = zero_state(srnn), zero_state(lstm), zero_state(cw)
+        h1, h2, c2, h3 = np.zeros(5), np.zeros(5), np.zeros(5), np.zeros(6)
         for t in range(1, 60):
             x = rng.uniform(-1, 1, 3) * 10.0  # arbitrary finite inputs
-            s1, _ = step_model(srnn, s1, x)
-            s2, _ = step_model(lstm, s2, x)
-            s3, _ = step_model(cw, s3, x)
-            for s in (s1, s2, s3):
-                assert np.all(np.abs(s.h) <= 1.0)
+            h1, _ = step(srnn, h1, x, t)
+            h2, gates = step(lstm, h2, x, t, c=c2)
+            c2 = gates.c_new[0]
+            h3, _ = step(cw, h3, x, t)
+            for h in (h1, h2, h3):
+                assert np.all(np.abs(h) <= 1.0)
 
 
 class TestStatePerturbationBound:
@@ -320,14 +315,13 @@ class TestStatePerturbationBound:
                     math.sqrt(n_h) * np.linalg.norm(w1 - w2)
                     + math.sqrt(n_x) * np.linalg.norm(u1 - u2)
                 ) / (1.0 - lam)
-                pa = SrnnParams(w=w1, u=u1, theta_out=np.zeros(n_h))
-                pb = SrnnParams(w=w2, u=u2, theta_out=np.zeros(n_h))
-                sa, sb = zero_state(pa), zero_state(pb)
-                for _ in range(length):
-                    x = rng.uniform(-1, 1, n_x)
-                    sa, _ = step_model(pa, sa, x)
-                    sb, _ = step_model(pb, sb, x)
-                    assert np.linalg.norm(sa.h - sb.h) <= bound
+                # the two weight sets as the two members of one online step
+                family = SrnnParams(w=w1, u=u1, theta_out=np.zeros(n_h))
+                pair = {"w": np.stack([w1, w2]), "u": np.stack([u1, u2])}
+                h = np.zeros((2, n_h))
+                for t in range(1, length + 1):
+                    h, _ = step_model(family, pair, rng.uniform(-1, 1, (1, n_x)), h, None, t)
+                    assert np.linalg.norm(h[0] - h[1]) <= bound
 
 
 class TestOnlineStepIsWindowCase:
@@ -355,23 +349,22 @@ class TestOnlineStepIsWindowCase:
         x = rng.uniform(-1.0, 1.0, (m, batch, n_x))
         h0 = rng.uniform(-1.0, 1.0, (batch, n_h))
         ts = np.arange(t0 + 1, t0 + m + 1)
-        w, active = clockwork(np.stack([p.w for p in members]), members[0], ts)
-        u = np.stack([p.u for p in members])
-        h = elman_forward(member_major(x), h0[..., None], w, u, active)
-        for b, p in enumerate(members):
-            state = HiddenState(h=h0[b], t=t0)
-            for i in range(m):
-                state, _ = step_model(p, state, x[i, b])
-                assert state.t == t0 + i + 1
-                window = h[i + 1, b, :, 0]
-                if m == 1 or n_x == 1:
-                    assert np.array_equal(state.h, window)
-                else:
-                    # numpy computes the window's input products u x_t as one
-                    # matrix-matrix product and a step's as a matrix-vector
-                    # product; with n_x >= 2 their sums may round differently.
-                    eps = np.finfo(np.float64).eps
-                    np.testing.assert_allclose(state.h, window, rtol=0, atol=64 * m * eps)
+        blocks = {name: np.stack([getattr(p, name) for p in members]) for name in ("w", "u")}
+        w, active = clockwork(blocks["w"], members[0], ts)
+        h = elman_forward(member_major(x), h0[..., None], w, blocks["u"], active)
+        state = h0
+        for i in range(m):
+            # the batch's online step at timestep t0 + i + 1
+            state, _ = step_model(members[0], blocks, x[i], state, None, t0 + i + 1)
+            window = h[i + 1, :, :, 0]
+            if m == 1 or n_x == 1:
+                assert np.array_equal(state, window)
+            else:
+                # numpy computes the window's input products u x_t as one
+                # matrix-matrix product and a step's as a matrix-vector
+                # product; with n_x >= 2 their sums may round differently.
+                eps = np.finfo(np.float64).eps
+                np.testing.assert_allclose(state, window, rtol=0, atol=64 * m * eps)
 
     @settings(max_examples=60)
     @given(
@@ -387,12 +380,14 @@ class TestOnlineStepIsWindowCase:
         h0, c0 = rng.uniform(-1.0, 1.0, n_h), rng.normal(size=n_h)
         stacks = (p.w[None], p.u[None], p.b[None])
         h, c, gi, gf, go, gg, _ = lstm_forward(x[None], h0[None], c0[None], *stacks)
-        state = HiddenState(h=h0, t=0, c=c0)
+        blocks = {name: a[None] for name, a in param_blocks(p)}
+        state, cell = h0[None], c0[None]
         for i in range(m):
-            state, gates = step_model(p, state, x[i])
+            state, gates = step_model(p, blocks, x[i][None], state, cell, i + 1)
+            cell = gates.c_new
             pairs = [
-                (state.h, h[i + 1, 0]), (state.c, c[i + 1, 0]), (gates.c_new, c[i + 1, 0]),
-                (gates.i, gi[i, 0]), (gates.f, gf[i, 0]), (gates.o, go[i, 0]), (gates.g, gg[i, 0]),
+                (state, h[i + 1]), (cell, c[i + 1]),
+                (gates.i, gi[i]), (gates.f, gf[i]), (gates.o, go[i]), (gates.g, gg[i]),
             ]
             for got, window in pairs:
                 assert np.array_equal(got, window)

@@ -14,7 +14,6 @@ from wogd.tasks import (
     LOSS_CROSS_ENTROPY,
     LOSS_SQUARED,
     add_step,
-    binary_add_state,
     binary_add_stream,
     correct_streaks,
     fit_scaling,
@@ -165,20 +164,20 @@ class TestBinaryAddition:
         assert add_step([1, 1, 1], 2) == (1, 2)
 
     def test_stream_reproducible(self):
-        a = binary_add_stream(binary_add_state(2, seed=99), 200)
-        b = binary_add_stream(binary_add_state(2, seed=99), 200)
+        a = binary_add_stream(BinaryAddState(2, np.random.default_rng(99)), 200)
+        b = binary_add_stream(BinaryAddState(2, np.random.default_rng(99)), 200)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_chunks_continue_the_stream(self):
-        whole = binary_add_stream(binary_add_state(3, seed=4), 300)
-        state = binary_add_state(3, seed=4)
+        whole = binary_add_stream(BinaryAddState(3, np.random.default_rng(4)), 300)
+        state = BinaryAddState(3, np.random.default_rng(4))
         parts = [binary_add_stream(state, k) for k in (100, 0, 200)]
         np.testing.assert_array_equal(np.concatenate([x for x, _ in parts]), whole[0])
         np.testing.assert_array_equal(np.concatenate([d for _, d in parts]), whole[1])
 
     def test_sample_ranges(self):
-        x, d = binary_add_stream(binary_add_state(3, seed=5), 300)
+        x, d = binary_add_stream(BinaryAddState(3, np.random.default_rng(5)), 300)
         assert x.shape == (300, 4) and d.shape == (300,)
         assert set(np.unique(x[:, :-1])) <= {-1.0, 1.0}
         assert np.all(x[:, -1] == 1.0)
@@ -188,7 +187,7 @@ class TestBinaryAddition:
         # The emitted bit stream must equal the binary expansion of the sum of
         # the summand integers (streamed LSB first), checked over 10^4 steps.
         for n in (2, 3):
-            state = binary_add_state(n, seed=123)
+            state = BinaryAddState(n, np.random.default_rng(123))
             steps = 10_000
             x, d = binary_add_stream(state, steps)
             addends = [0] * n
@@ -206,7 +205,7 @@ class TestBinaryAddition:
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            binary_add_state(4, seed=0)
+            BinaryAddState(4, np.random.default_rng(0))
 
 
 class TestCorrectStreaks:
