@@ -7,16 +7,15 @@ extra per-step work for a better fit at equal model size.
 
 from wogd.harness import ExperimentConfig, aggregate, run_many
 
-COMMON = dict(task="synthetic", features=3, steps=1200, n_h=8, init_std=0.1)
+COMMON = dict(task="synthetic", features=3, steps=1200, n_h=8, init_std=0.1,
+              window=100)  # every setup backpropagates through 100 steps
 SEEDS = (1, 2, 3)
 
 configs = [
-    ExperimentConfig(model="srnn", optimizer="wogd", eta=0.05, window=100,
+    ExperimentConfig(model="srnn", optimizer="wogd", eta=0.05,
                      lam=0.95, alpha=7.5, out_lr_scale=8.0, out_radius=2.5, **COMMON),
-    ExperimentConfig(model="srnn", optimizer="adam", learning_rate=0.005,
-                     tbptt_depth=100, **COMMON),
-    ExperimentConfig(model="lstm", optimizer="adam", learning_rate=0.005,
-                     tbptt_depth=100, **COMMON),
+    ExperimentConfig(model="srnn", optimizer="adam", learning_rate=0.005, **COMMON),
+    ExperimentConfig(model="lstm", optimizer="adam", learning_rate=0.005, **COMMON),
 ]
 
 results = []

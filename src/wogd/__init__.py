@@ -66,9 +66,7 @@ from .tasks import (
     CsvFormatError,
     LOSS_CROSS_ENTROPY,
     LOSS_SQUARED,
-    ScalingSpec,
     binary_add_stream,
-    fit_scaling,
     load_csv_stream,
     losses,
     scaled_stream,

@@ -27,7 +27,7 @@ with a ``schema_version`` key. Recognized keys:
   periods          cwrnn clock periods, e.g. 1,2,4,8,16
   optimizer        wogd | sgd | rmsprop | adam
   eta              wogd hidden-layer learning rate
-  window           wogd window size (and default tape depth for baselines)
+  window           backprop depth of every optimizer, default 200 (wogd's window)
   lambda           wogd spectral radius, default 0.95
   alpha            wogd lazy-projection trigger on the Frobenius norm, default
                    7.5; the spectral bound lambda holds only when alpha <= lambda
@@ -35,8 +35,6 @@ with a ``schema_version`` key. Recognized keys:
   out_radius       wogd output-weight l2 bound, default 2.5
   gradient_mode    replay | cached, default replay
   learning_rate    baseline learning rate
-  tbptt_depth      baseline backprop depth, default = window (or 200);
-                   wogd rejects it (its depth is window)
   seeds            evaluation seeds, e.g. 1,2,3 (default 1..eval_runs)
   tuning_runs      seeds used per grid point, default 10
   eval_runs        default evaluation seed count, default 30
@@ -139,7 +137,6 @@ class ExperimentConfig:
     out_radius: float = 2.5
     gradient_mode: str = "replay"
     learning_rate: float = 0.01
-    tbptt_depth: int = 0
     # protocol
     seeds: tuple[int, ...] = ()
     tuning_runs: int = 10
@@ -160,10 +157,6 @@ class ExperimentConfig:
     @property
     def loss_kind(self) -> str:
         return tasks.LOSS_CROSS_ENTROPY if self.task == "binary_add" else tasks.LOSS_SQUARED
-
-    @property
-    def tape_depth(self) -> int:
-        return self.tbptt_depth if self.tbptt_depth > 0 else self.window
 
     def eval_seeds(self) -> tuple[int, ...]:
         return self.seeds if self.seeds else tuple(range(1, self.eval_runs + 1))
@@ -263,18 +256,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         p.append("n_h must be >= 1")
     if cfg.task == "csv" and not cfg.dataset:
         p.append("csv task requires a dataset path")
-    if cfg.task == "synthetic" and cfg.steps < 1:
+    if cfg.steps < 0:
+        p.append("steps must be >= 0")
+    elif cfg.task == "synthetic" and cfg.steps < 1:
         p.append("synthetic task requires steps >= 1")
     if cfg.task == "synthetic" and cfg.features < 1:
         p.append("synthetic task requires features >= 1")
     if cfg.init_std < 0:
         p.append("init_std must be >= 0")
-    if cfg.tbptt_depth < 0:
-        p.append("tbptt_depth must be >= 0 (0: use window)")
-    elif cfg.optimizer == "wogd" and cfg.tbptt_depth > 0:
-        p.append("tbptt_depth applies to the baselines; wogd backpropagates through its window")
-    elif cfg.tape_depth < 1:
-        p.append("window must be >= 1 (the tape depth when tbptt_depth = 0)")
+    if cfg.window < 1:
+        p.append("window must be >= 1")
     if cfg.gradient_mode not in GRADIENT_MODES:
         p.append(f"gradient_mode must be one of {GRADIENT_MODES}")
     if cfg.task == "binary_add":
@@ -284,11 +275,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             p.append("horizon must be >= 1")
     if cfg.optimizer == "wogd" and cfg.model == "lstm":
         p.append("the windowed projected update applies to srnn/cwrnn parameter triples")
-    if cfg.model == "cwrnn":
-        if len(cfg.periods) < 1:
-            p.append("cwrnn requires periods")
-        elif cfg.n_h % len(cfg.periods) != 0:
-            p.append(f"n_h={cfg.n_h} not divisible by {len(cfg.periods)} clock blocks")
     if cfg.record_smoothness and cfg.optimizer != "wogd":
         p.append("record_smoothness requires the wogd optimizer")
     if cfg.record_smoothness and cfg.gradient_mode != "replay":
@@ -305,12 +291,19 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         p.append("check_gradient_bounds supports srnn with squared loss")
     if cfg.tuning_runs < 1 or cfg.eval_runs < 1:
         p.append("tuning_runs and eval_runs must be >= 1")
-    if cfg.seeds and len(set(cfg.seeds)) != len(cfg.seeds):
+    if any(s < 0 for s in cfg.seeds):
+        p.append("seeds must be >= 0")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
         p.append("seeds must be distinct")
     try:
         _optimizer(cfg)
     except ValueError as exc:
         p.append(str(exc))
+    if cfg.model == "cwrnn":
+        try:
+            models.check_periods(cfg.n_h, cfg.periods)
+        except ValueError as exc:
+            p.append(str(exc))
     if p:
         raise ConfigError("; ".join(p))
     return cfg
@@ -368,8 +361,11 @@ def _build_params(cfg: ExperimentConfig, n_x: int, rng: np.random.Generator):
 
 
 def _csv_stream(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    records = tasks.load_csv_stream(cfg.dataset, cfg.target_column)
-    x, d = tasks.scaled_stream(records, tasks.fit_scaling(records, cfg.n_h, cfg.target_column))
+    records = tasks.load_csv_stream(cfg.dataset)
+    try:
+        x, d = tasks.scaled_stream(records, cfg.n_h, cfg.target_column)
+    except ValueError as exc:  # the target column or the record count does not fit the file
+        raise ConfigError(str(exc)) from None
     n = cfg.steps if cfg.steps > 0 else None
     return x[:n], d[:n]
 
@@ -502,7 +498,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     over the number of seeds.
 
     The first-order baselines (sgd, rmsprop, adam) backpropagate the newest
-    loss through the recorded activations of the last tape_depth steps
+    loss through the recorded activations of the last window steps
     (instant_gradient) and update every block. WOGD descends the window's
     mean loss (tbptt_gradient); its instrumentation runs over the member
     stacks: at every step the closed-form gradient ceiling (an AssertionError
@@ -545,7 +541,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         for name, _ in models.param_blocks(template)
     }
     zeros = np.zeros((len(seeds), cfg.n_h))
-    tape = ActivationTape(cfg.tape_depth, zeros, n_x, zeros if lstm else None)
+    tape = ActivationTape(cfg.window, zeros, n_x, zeros if lstm else None)
     opt = _optimizer(cfg)
     moments: dict = {}  # (moment, block) -> (B, ...) stack, for rmsprop and adam
     instrumented = cfg.record_regret or cfg.record_smoothness

@@ -105,6 +105,17 @@ class LstmParams:
         return self.u.shape[1]
 
 
+def check_periods(n_h: int, periods) -> None:
+    """The clockwork rule, a ValueError when broken: one or more positive
+    periods in non-descending order, splitting n_h into equal blocks."""
+    if len(periods) < 1 or any(p < 1 for p in periods):
+        raise ValueError("periods must be one or more positive integers")
+    if any(a > b for a, b in zip(periods, periods[1:])):
+        raise ValueError("periods must be non-descending")
+    if n_h % len(periods) != 0:
+        raise ValueError(f"n_h={n_h} not divisible by the {len(periods)} clock blocks")
+
+
 @dataclass(frozen=True)
 class CwrnnParams(SrnnParams):
     """Clockwork RNN: an SRNN whose equal-size blocks of hidden units have
@@ -120,14 +131,7 @@ class CwrnnParams(SrnnParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.periods) < 1 or any(p < 1 for p in self.periods):
-            raise ValueError("periods must be positive integers")
-        if any(a > b for a, b in zip(self.periods, self.periods[1:])):
-            raise ValueError("periods must be non-descending")
-        if self.n_h % len(self.periods) != 0:
-            raise ValueError(
-                f"n_h={self.n_h} not divisible by the {len(self.periods)} blocks"
-            )
+        check_periods(self.n_h, self.periods)
 
     @property
     def block_size(self) -> int:

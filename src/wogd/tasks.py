@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +54,12 @@ def losses(preds: np.ndarray, targets: np.ndarray, kind: str) -> np.ndarray:
     return -targets * np.log(p) - (1.0 - targets) * np.log(1.0 - p)
 
 
-def load_csv_stream(path, target_column: int = -1) -> np.ndarray:
+def load_csv_stream(path) -> np.ndarray:
     """Read a rectangular numeric CSV into a (rows x cols) float64 array.
 
     Row order is preserved. A single non-numeric first line is treated as a
     header. Ragged rows and non-numeric cells raise CsvFormatError with the
-    offending line number; a missing file raises the usual OSError. The
-    target column index is validated here so config errors surface before
-    any training work.
+    offending line number; a missing file raises the usual OSError.
     """
     rows: list[list[float]] = []
     width = None
@@ -85,77 +83,34 @@ def load_csv_stream(path, target_column: int = -1) -> np.ndarray:
             rows.append(values)
     if not rows:
         raise CsvFormatError(1, "no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if not (-data.shape[1] <= target_column < data.shape[1]):
-        raise ValueError(f"target column {target_column} out of range for {data.shape[1]} columns")
-    return data
+    return np.asarray(rows, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Affine min-max maps: features -> [-1, 1], target -> [-sqrt(n_h), sqrt(n_h)].
-
-    Constant columns (max == min) map to 0 and are flagged.
-    """
-
-    feature_min: np.ndarray
-    feature_max: np.ndarray
-    target_min: float
-    target_max: float
-    n_h: int
-    target_column: int = -1
-    constant_features: tuple[int, ...] = field(default=())
-
-    @property
-    def target_radius(self) -> float:
-        return math.sqrt(self.n_h)
-
-    def scale_features(self, raw: np.ndarray) -> np.ndarray:
-        span = self.feature_max - self.feature_min
-        safe = np.where(span > 0, span, 1.0)
-        scaled = 2.0 * (raw - self.feature_min) / safe - 1.0
-        return np.where(span > 0, scaled, 0.0)
-
-    def scale_target(self, raw: np.ndarray) -> np.ndarray:
-        span = self.target_max - self.target_min
-        if span <= 0:
-            return np.zeros_like(raw, dtype=np.float64)
-        return (2.0 * (raw - self.target_min) / span - 1.0) * self.target_radius
-
-
-def fit_scaling(records: np.ndarray, n_h: int, target_column: int = -1) -> ScalingSpec:
-    """Column statistics over the whole record matrix (offline scaling)."""
+def scaled_stream(
+    records: np.ndarray, n_h: int, target_column: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs x (T, n_x) and targets d (T,) of a record matrix, in record
+    order: min-max scaled by the statistics of the whole matrix (features to
+    [-1, 1], the target column to [-sqrt(n_h), sqrt(n_h)], a constant column
+    to 0), with the bias dimension appended. A target column outside the
+    record width, or fewer than 2 records, is a ValueError."""
     records = np.asarray(records, dtype=np.float64)
     if records.ndim != 2 or records.shape[0] < 2:
         raise ValueError("need at least 2 records to fit scaling")
     cols = records.shape[1]
+    if not -cols <= target_column < cols:
+        raise ValueError(f"target column {target_column} out of range for {cols} columns")
     tcol = target_column % cols
-    fcols = [j for j in range(cols) if j != tcol]
-    feats = records[:, fcols]
+    feats = records[:, [j for j in range(cols) if j != tcol]]
     fmin = feats.min(axis=0)
-    fmax = feats.max(axis=0)
-    constant = tuple(int(j) for j in np.flatnonzero(fmax - fmin <= 0))
-    return ScalingSpec(
-        feature_min=fmin,
-        feature_max=fmax,
-        target_min=float(records[:, tcol].min()),
-        target_max=float(records[:, tcol].max()),
-        n_h=n_h,
-        target_column=target_column,
-        constant_features=constant,
-    )
-
-
-def scaled_stream(records: np.ndarray, spec: ScalingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a ScalingSpec and append the bias dimension: inputs x (T, n_x)
-    and targets d (T,), in record order."""
-    records = np.asarray(records, dtype=np.float64)
-    cols = records.shape[1]
-    tcol = spec.target_column % cols
-    fcols = [j for j in range(cols) if j != tcol]
-    xs = spec.scale_features(records[:, fcols])
-    d = spec.scale_target(records[:, tcol])
-    bad = (np.abs(xs) > 1.0 + 1e-12).any(axis=1) | (np.abs(d) > spec.target_radius + 1e-12)
+    span = feats.max(axis=0) - fmin
+    xs = np.where(span > 0, 2.0 * (feats - fmin) / np.where(span > 0, span, 1.0) - 1.0, 0.0)
+    target = records[:, tcol]
+    radius = math.sqrt(n_h)
+    tmin = float(target.min())
+    tspan = float(target.max()) - tmin
+    d = (2.0 * (target - tmin) / tspan - 1.0) * radius if tspan > 0 else np.zeros_like(target)
+    bad = (np.abs(xs) > 1.0 + 1e-12).any(axis=1) | (np.abs(d) > radius + 1e-12)
     if bad.any():
         raise AssertionError(f"scaled sample out of range at row {int(np.argmax(bad))}")
     return np.column_stack([xs, np.ones(len(d))]), d

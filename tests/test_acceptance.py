@@ -354,7 +354,7 @@ def test_criterion_9_runtime_ordering():
     )
     lstm_cfg = ExperimentConfig(
         task="synthetic", features=3, steps=steps, model="lstm", n_h=10,
-        optimizer="adam", learning_rate=0.01, tbptt_depth=200,
+        optimizer="adam", learning_rate=0.01, window=200,
     )
     wogd_runs = [run_single(wogd_cfg, s) for s in seeds]
     lstm_runs = [run_single(lstm_cfg, s) for s in seeds]

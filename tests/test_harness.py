@@ -142,30 +142,32 @@ class TestConfigParsing:
         assert len(documented) == len(set(documented))
         assert set(documented) == accepted
 
-    def test_loss_key_rejected(self, tmp_path, capsys):
-        """The loss follows from the task; a config that sets one is refused."""
+    @pytest.mark.parametrize(
+        "key, value", [("loss", "cross_entropy"), ("tbptt_depth", "8")], ids=["loss", "tbptt_depth"]
+    )
+    def test_loss_key_rejected(self, key, value, tmp_path, capsys):
+        """The loss follows from the task and every optimizer backpropagates
+        through window steps; a config that sets either is refused."""
         raw = {"schema_version": "1", "task": "binary_add", "model": "srnn",
-               "n_h": "4", "optimizer": "wogd", "loss": "cross_entropy",
+               "n_h": "4", "optimizer": "wogd", key: value,
                "out_dir": str(tmp_path / "out")}
-        with pytest.raises(ConfigError, match="^unknown key 'loss'$"):
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
             config_from_mapping(raw)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
-        assert "unknown key 'loss'" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "change, problem",
         [
             ({"optimizer": "sgd", "window": "0"}, "window must be >= 1"),
-            ({"optimizer": "adam", "tbptt_depth": "-3"}, "tbptt_depth must be >= 0"),
             ({"features": "0"}, "features >= 1"),
             ({"init_std": "-1"}, "init_std must be >= 0"),
             ({"optimizer": "sgd", "check_gradient_bounds": "true"},
              "check_gradient_bounds requires the wogd optimizer"),
             ({"regret_every": "3"}, "regret_every > 1 requires record_regret or record_smoothness"),
-            ({"tbptt_depth": "5"}, "tbptt_depth applies to the baselines"),
             ({"task": "binary_add", "horizon": "0"}, "horizon must be >= 1"),
             ({"task": "binary_add", "horizon": "-3"}, "horizon must be >= 1"),
             ({"eval_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
@@ -173,12 +175,18 @@ class TestConfigParsing:
             ({"window": "0"}, "window must be >= 1"),
             ({"gradient_mode": "bogus"}, "gradient_mode must be one of"),
             ({"optimizer": "sgd", "gradient_mode": "bogus"}, "gradient_mode must be one of"),
+            ({"seeds": "-1"}, "seeds must be >= 0"),
+            ({"task": "csv", "dataset": FIXTURE, "steps": "-5"}, "steps must be >= 0"),
+            ({"model": "cwrnn", "n_h": "4", "periods": "0,1"},
+             "periods must be one or more positive integers"),
+            ({"model": "cwrnn", "n_h": "4", "periods": "4,2"}, "periods must be non-descending"),
         ],
-        ids=["window-0", "tbptt-depth-negative", "features-0", "init-std-negative",
+        ids=["window-0", "features-0", "init-std-negative",
              "gradient-bounds-without-wogd", "regret-every-without-recording",
-             "tbptt-depth-with-wogd", "horizon-0", "horizon-negative", "eval-runs-0",
+             "horizon-0", "horizon-negative", "eval-runs-0",
              "tuning-runs-0", "wogd-window-0", "wogd-gradient-mode-bogus",
-             "sgd-gradient-mode-bogus"],
+             "sgd-gradient-mode-bogus", "negative-seed", "csv-steps-negative",
+             "cwrnn-period-0", "cwrnn-periods-descending"],
     )
     def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
         raw = {"schema_version": "1", "task": "synthetic", "steps": "20", "model": "srnn",
@@ -244,7 +252,7 @@ class TestRunSingle:
         for model, opt in (("lstm", "adam"), ("cwrnn", "rmsprop"), ("srnn", "sgd")):
             cfg = fixture_cfg(
                 model=model, optimizer=opt, learning_rate=0.01, steps=30,
-                n_h=4, periods=(1, 2), tbptt_depth=8,
+                n_h=4, periods=(1, 2), window=8,
             )
             res = run_single(cfg, 1)
             assert np.isfinite(res.mse)
@@ -281,8 +289,8 @@ def _synthetic(**over):
 INSTRUMENTED = dict(record_regret=True, record_smoothness=True)
 SGD = dict(optimizer="sgd", learning_rate=0.05, window=10)
 RMSPROP_CWRNN = dict(model="cwrnn", n_h=6, periods=(1, 2, 4), optimizer="rmsprop",
-                     learning_rate=0.01, tbptt_depth=8)
-LSTM_ADAM = dict(model="lstm", optimizer="adam", learning_rate=0.01, tbptt_depth=8)
+                     learning_rate=0.01, window=8)
+LSTM_ADAM = dict(model="lstm", optimizer="adam", learning_rate=0.01, window=8)
 
 # name -> (config, how the batched side runs, data patch or None)
 BATCH_CASES = {
@@ -602,7 +610,7 @@ def _reference_run(cfg, seed):
     ledger = SimpleNamespace(**{name: [] for name in LEDGER_LISTS}) if instrumented else None
     h = np.zeros((1, cfg.n_h))
     c = h if cfg.model == "lstm" else None
-    tape = ActivationTape(cfg.tbptt_depth or cfg.window, h, n_x, c)
+    tape = ActivationTape(cfg.window, h, n_x, c)
     losses, projections = [], 0
     for t, (x, d) in enumerate(zip(xs, ds), start=1):
         blocks = one_run(params)
@@ -735,7 +743,7 @@ class TestGridSearch:
         assert rows[0][1] is not None
 
     def test_divergent_point_excluded(self):
-        cfg = fixture_cfg(steps=60, model="srnn", optimizer="sgd", tbptt_depth=6)
+        cfg = fixture_cfg(steps=60, model="srnn", optimizer="sgd", window=6)
         with np.errstate(all="ignore"):
             best, rows = grid_search(cfg, [0.01, 1e6], tuning_seeds=(1,))
         assert best == 0.01
@@ -761,8 +769,9 @@ class TestGridSearch:
             ([0.05, -0.1], (1,), "eta must be positive, got -0.1"),
             ([0.05], (1, 1), "seeds must be distinct"),
             ([0.05, 0.1], (), "tuning seed list is empty"),
+            ([0.05], (2, -1), "seeds must be >= 0"),
         ],
-        ids=["negative-eta", "repeated-seeds", "no-seeds"],
+        ids=["negative-eta", "repeated-seeds", "no-seeds", "negative-seed"],
     )
     def test_every_candidate_validated_before_any_run(self, grid, seeds, problem, monkeypatch):
         calls = []
@@ -772,7 +781,7 @@ class TestGridSearch:
         assert calls == []
 
     def test_all_divergent_raises(self):
-        cfg = fixture_cfg(steps=40, optimizer="sgd", tbptt_depth=6)
+        cfg = fixture_cfg(steps=40, optimizer="sgd", window=6)
         with np.errstate(all="ignore"), pytest.raises(GridSearchError):
             grid_search(cfg, [1e7, 1e8], tuning_seeds=(1,))
 
@@ -877,9 +886,12 @@ class TestCli:
             (["run", "--seeds", " "], "seeds lists no seed: ' '"),
             (["run", "--seeds", ""], "seeds lists no seed: ''"),
             (["grid", "--lr-grid", "0.05,0.1", "--seeds", " "], "seeds lists no seed: ' '"),
+            (["run", "--seeds=-1"], "seeds must be >= 0"),
+            (["grid", "--lr-grid", "0.03", "--seeds=-2,1"], "seeds must be >= 0"),
         ],
         ids=["run-repeated-seeds", "run-bad-seed", "grid-negative-eta", "grid-repeated-seeds",
-             "run-blank-seeds", "run-empty-seeds", "grid-blank-seeds"],
+             "run-blank-seeds", "run-empty-seeds", "grid-blank-seeds", "run-negative-seed",
+             "grid-negative-seed"],
     )
     def test_overrides_validated_like_the_file(self, argv, problem, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -903,6 +915,26 @@ class TestCli:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "rows, extra, problem",
+        [
+            (None, "target_column = 10", "target column 10 out of range for 4 columns"),
+            ("1,2,3,4\n", "", "need at least 2 records to fit scaling"),
+        ],
+        ids=["target-column-out-of-range", "one-record"],
+    )
+    def test_csv_that_does_not_fit_exit_code(self, rows, extra, problem, tmp_path, capsys):
+        # the stream is built before the first step
+        text = CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out")
+        if rows is not None:
+            (tmp_path / "one.csv").write_text(rows)
+            text = text.replace(FIXTURE, str(tmp_path / "one.csv"))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"{text}{extra}\n")
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error[config]: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(CONFIG_TEXT.replace(FIXTURE, str(tmp_path / "missing.csv")))
@@ -923,7 +955,7 @@ class TestCli:
         cfg_path.write_text(
             "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 60\n"
             "model = srnn\nn_h = 4\noptimizer = sgd\nlearning_rate = 1e6\n"
-            f"tbptt_depth = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
+            f"window = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
         )
         lines = {}
         for workers in (1, 2):
@@ -941,7 +973,7 @@ class TestCli:
         cfg_path.write_text(
             "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 60\n"
             "model = srnn\nn_h = 4\noptimizer = sgd\nlearning_rate = 1e6\n"
-            f"tbptt_depth = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
+            f"window = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -992,7 +1024,7 @@ class TestCli:
         cfg_path.write_text(
             "schema_version = 1\ntask = synthetic\nfeatures = 3\nsteps = 60\n"
             "model = srnn\nn_h = 4\noptimizer = sgd\nlearning_rate = 1e6\n"
-            f"tbptt_depth = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
+            f"window = 6\nseeds = 1,2\nout_dir = {tmp_path}/out\n"
         )
         assert cli_main(["run", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err.startswith("error[numeric]: ")

@@ -16,7 +16,6 @@ from wogd.tasks import (
     add_step,
     binary_add_stream,
     correct_streaks,
-    fit_scaling,
     load_csv_stream,
     losses,
     scaled_stream,
@@ -118,42 +117,52 @@ class TestLoadCsv:
 class TestScaling:
     def test_midpoint_maps_to_zero(self):
         records = np.array([[0.0, 1.0], [10.0, 3.0], [5.0, 2.0]])
-        spec = fit_scaling(records, n_h=4)
-        assert spec.scale_features(np.array([5.0]))[0] == pytest.approx(0.0)
-        assert spec.scale_features(np.array([0.0]))[0] == pytest.approx(-1.0)
-        assert spec.scale_features(np.array([10.0]))[0] == pytest.approx(1.0)
+        x, _ = scaled_stream(records, n_h=4)
+        np.testing.assert_allclose(x[:, 0], [-1.0, 1.0, 0.0], atol=1e-12)
 
     def test_target_endpoint(self):
         records = np.column_stack([np.linspace(0, 1, 5), np.linspace(-2, 2, 5)])
-        spec = fit_scaling(records, n_h=10)
-        np.testing.assert_allclose(
-            spec.scale_target(np.array([2.0, -2.0])), [math.sqrt(10.0), -math.sqrt(10.0)]
-        )
-        assert spec.scale_target(0.0) == pytest.approx(0.0, abs=1e-12)
+        _, d = scaled_stream(records, n_h=10)
+        np.testing.assert_allclose(d[[-1, 0]], [math.sqrt(10.0), -math.sqrt(10.0)])
+        assert d[2] == pytest.approx(0.0, abs=1e-12)
 
-    def test_constant_column_flagged(self):
+    def test_constant_column_maps_to_zero(self):
         records = np.array([[7.0, 1.0, 0.0], [7.0, 2.0, 1.0], [7.0, 3.0, 2.0]])
-        spec = fit_scaling(records, n_h=4)
-        assert spec.constant_features == (0,)
-        x, _ = scaled_stream(records, spec)
+        x, _ = scaled_stream(records, n_h=4)
         assert np.all(x[:, 0] == 0.0)
+        assert not np.all(x[:, 1] == 0.0)
+        _, d = scaled_stream(records, n_h=4, target_column=0)
+        assert np.all(d == 0.0)
 
     def test_stream_shape_and_ranges(self):
         rng = np.random.default_rng(0)
         records = rng.normal(0.0, 5.0, (40, 4))
-        spec = fit_scaling(records, n_h=9)
-        x, d = scaled_stream(records, spec)
+        x, d = scaled_stream(records, n_h=9)
         assert x.shape == (40, 4)  # 3 scaled features + bias
         assert d.shape == (40,)
         assert np.all(x[:, -1] == 1.0)
         assert np.all(np.abs(x[:, :-1]) <= 1.0 + 1e-12)
         assert np.all(np.abs(d) <= 3.0 + 1e-12)
-        # record order is kept
-        np.testing.assert_array_equal(d, [spec.scale_target(float(v)) for v in records[:, -1]])
+        # record order is kept: permuted records give the permuted stream
+        order = rng.permutation(40)
+        x_perm, d_perm = scaled_stream(records[order], n_h=9)
+        np.testing.assert_array_equal(x_perm, x[order])
+        np.testing.assert_array_equal(d_perm, d[order])
+
+    def test_target_column_picks_the_target(self):
+        records = np.array([[0.0, 4.0, 1.0], [2.0, 8.0, 3.0], [1.0, 6.0, 2.0]])
+        x, d = scaled_stream(records, n_h=4, target_column=1)
+        np.testing.assert_allclose(d, [-2.0, 2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(x[:, :-1], [[-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("column", [3, -4])
+    def test_target_column_out_of_range(self, column):
+        with pytest.raises(ValueError, match=f"^target column {column} out of range for 3 columns$"):
+            scaled_stream(np.ones((4, 3)), n_h=4, target_column=column)
 
     def test_needs_two_records(self):
-        with pytest.raises(ValueError):
-            fit_scaling(np.ones((1, 3)), n_h=4)
+        with pytest.raises(ValueError, match="need at least 2 records"):
+            scaled_stream(np.ones((1, 3)), n_h=4)
 
 
 class TestBinaryAddition:

@@ -57,17 +57,16 @@ CASES = {
     "cwrnn-wogd": _synthetic(model="cwrnn", periods=(1, 2, 3), features=2,
                              record_regret=True, record_smoothness=True),
     "cwrnn-sgd": _synthetic(model="cwrnn", periods=(1, 2, 3), optimizer="sgd",
-                            learning_rate=0.05, tbptt_depth=8),
-    "lstm-adam": _synthetic(model="lstm", optimizer="adam", learning_rate=0.01, tbptt_depth=20),
+                            learning_rate=0.05, window=8),
+    "lstm-adam": _synthetic(model="lstm", optimizer="adam", learning_rate=0.01),
     # seeds 1 and 3 diverge on a non-finite gradient
-    "lstm-sgd-lr50": _synthetic(model="lstm", n_h=10, optimizer="sgd", learning_rate=50.0,
-                                tbptt_depth=20),
+    "lstm-sgd-lr50": _synthetic(model="lstm", n_h=10, optimizer="sgd", learning_rate=50.0),
     # seeds 1 and 3 leave at the horizon, seed 2 runs to the cutoff
     "binary-add": _binary(),
     "csv-rmsprop": ExperimentConfig(task="csv", dataset=FIXTURE, model="srnn", n_h=4,
-                                    optimizer="rmsprop", learning_rate=0.01, tbptt_depth=8),
+                                    optimizer="rmsprop", learning_rate=0.01, window=8),
     "lstm-rmsprop": _synthetic(model="lstm", optimizer="rmsprop", learning_rate=0.01,
-                               tbptt_depth=10),
+                               window=10),
     "srnn-sgd": _synthetic(optimizer="sgd", learning_rate=0.05, window=10),
     # seeds 1 and 2 leave at the horizon, seed 3 runs to the cutoff
     "lstm-sgd-binary-add": _binary(model="lstm", optimizer="sgd", learning_rate=0.5, horizon=8),
