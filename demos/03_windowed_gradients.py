@@ -1,13 +1,15 @@
 """The activation tape and gradients of the windowed loss.
 
 Fills a tape with recent steps, differentiates the mean of the window's
-losses in both modes (replay vs cached), and cross-checks the replay mode
+losses by replay (WOGD's gradient, tbptt_gradient) and through the recorded
+activations (the kernel's cached flavour), and cross-checks the replay
 against brute-force finite differences.
 """
 
 import numpy as np
 
 from wogd import ActivationTape, fd_gradient, smoothed_loss, tbptt_gradient
+from wogd.gradients import elman_window_gradient
 from wogd.models import param_blocks, random_srnn, readout, step_model
 
 rng = np.random.default_rng(3)
@@ -26,10 +28,12 @@ for t in range(1, 13):  # the tape keeps only the last 8
 print(f"tape holds {len(tape)} of the last steps; anchor sits at t={tape.ts[0] - 1}")
 print("windowed loss at the current weights:", round(smoothed_loss(tape, params), 6))
 
-g_replay, g_cached = (
-    {name: g[0] for name, g in tbptt_gradient(tape, blocks, params, mode)[0].items()}
-    for mode in ("replay", "cached")
+g_replay = {name: g[0] for name, g in tbptt_gradient(tape, blocks, params)[0].items()}
+cached, _ = elman_window_gradient(
+    tape.x, tape.d, tape.pred, tape.h, tape.ts, blocks["w"], blocks["u"], blocks["theta_out"],
+    "cached", "squared", np.full(len(tape), 1.0 / len(tape)),
 )
+g_cached = {name: g[0] for name, g in cached.items()}
 g_fd = fd_gradient(tape, params, eps=1e-6)
 
 print()

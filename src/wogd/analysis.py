@@ -113,7 +113,8 @@ class RegretLedger:
 
     Also carries the per-step smoothness samples when the run records them,
     so one ledger holds both instrumentation channels. When a run samples
-    every k-th step instead of every step, entries are per sample and the
+    every k-th step instead of every step (`every` = k), entries are per
+    sample, entry i (from 1) belongs to timestep k (i - 1) + 1, and the
     normalized column divides by the sample count.
 
     It records the B runs of a lockstep batch at once, an entry being a (B,)
@@ -123,7 +124,8 @@ class RegretLedger:
 
     NUMERIC = ("grad_sq_theta", "grad_sq_mu", "regret", "normalized")
 
-    def __init__(self):
+    def __init__(self, every: int = 1):
+        self.every = every
         self.grad_sq_theta: list = []
         self.grad_sq_mu: list = []
         self.regret: list = []  # running sum R(t)
@@ -170,7 +172,7 @@ class RegretLedger:
     def member(self, b: int) -> "RegretLedger":
         """Run b's ledger: float entries and one smoothness sample (or None)
         per entry."""
-        led = RegretLedger()
+        led = RegretLedger(self.every)
         for name in self.NUMERIC:
             setattr(led, name, [float(row[b]) for row in getattr(self, name)])
         led.smoothness = [row[b] for row in self.smoothness]

@@ -3,7 +3,7 @@
 Subcommands:
   run    --config FILE [--seeds a,b,...] [--out DIR] [--workers N]
   grid   --config FILE --lr-grid 0.001,0.002,... [--seeds a,b,...]
-  verify [pytest args...]   run the property/acceptance test suites
+  verify [-- pytest args...]   run the test suites (pyproject's testpaths by default)
 
 Exit codes: 0 success; 2 configuration error; 3 data/I-O error; 4 numeric
 failure (divergence, decomposition failure); 1 anything else. When some
@@ -87,15 +87,16 @@ def _cmd_grid(args) -> int:
 
 def _cmd_verify(args) -> int:
     extra = list(args.pytest_args)
+    if extra[:1] == ["--"]:  # lets the pytest arguments start with an option
+        extra = extra[1:]
     if not extra:
-        tests = Path("tests")
-        if not tests.is_dir():
+        if not Path("tests").is_dir():
             print(
                 "error[config]: no tests/ directory here; run from the project root",
                 file=sys.stderr,
             )
             return 2
-        extra = [str(tests), "-v"]
+        extra = ["-v"]  # no path: pyproject.toml's testpaths name the suites
     cmd = [sys.executable, "-m", "pytest", *extra]
     return subprocess.run(cmd, check=False).returncode
 

@@ -3,25 +3,25 @@
 The ``ActivationTape`` keeps the last `w` observed steps of B runs trained in
 lockstep (one run is the B = 1 case), plus the hidden state at the window's
 left edge (the anchor), as time-major arrays whose windows are contiguous
-views. Gradients come in two flavours:
+views. Each family has one kernel over the runs of a tape,
+``elman_window_gradient`` (SRNN and CWRNN) and ``lstm_window_gradient``, in
+two flavours:
 
-* ``replay`` (default): re-run the forward pass from the anchor over the
-  window's inputs with the *current* parameters, then backpropagate the mean
-  of the window losses, treating the anchor as a constant. This is the exact
-  gradient of the windowed loss under truncation. The replay runs the
-  family's forward kernel from ``models``, whose m = 1 case is the online
-  step; this module holds the tape and the backward passes.
+* ``replay``: re-run the forward pass from the anchor over the window's
+  inputs with the *current* parameters, then backpropagate the
+  loss-weighted residuals, treating the anchor as a constant. The replay
+  runs the family's forward kernel from ``models``, whose m = 1 case is the
+  online step; this module holds the tape and the backward passes.
 * ``cached``: backpropagate through the activations stored on the tape
   (computed under the historical parameters) with the current weight
   matrices. The classical, cheaper TBPTT approximation.
 
-Each family has one kernel over the runs of a tape: ``elman_window_gradient``
-(SRNN and CWRNN) and ``lstm_window_gradient``. Over a tape, ``tbptt_gradient``
-is the gradient of the window's mean loss (WOGD's), and ``instant_gradient``
-the cached-mode gradient of the newest loss only (the first-order
-baselines'). Both take (B, ...) parameter stacks keyed like param_blocks and
-return the (B, ...) gradient stacks with, per member, the first non-finite
-quantity or None.
+Over a tape, ``tbptt_gradient`` is the replay gradient of the window's mean
+loss, WOGD's: the exact gradient of the windowed loss under truncation.
+``instant_gradient`` is the cached gradient of the newest loss only, the
+first-order baselines'. Both take (B, ...) parameter stacks keyed like
+param_blocks and return the (B, ...) gradient stacks with, per member, the
+first non-finite quantity or None.
 
 ``smoothed_loss`` and ``fd_gradient`` read a one-run tape under one set of
 parameters. The finite-difference oracle ``fd_gradient`` is batched over
@@ -47,7 +47,6 @@ from .models import (
 )
 from .tasks import LOSS_SQUARED, losses
 
-GRADIENT_MODES = ("replay", "cached")
 _FD_CHUNK = 32  # entries fd_gradient perturbs per kernel call, as 2 * _FD_CHUNK members
 
 
@@ -421,17 +420,13 @@ def _smoothed_loss(tape: ActivationTape, blocks, family, loss_kind: str) -> np.n
     return np.mean(losses(preds, tape.d[:, 0], loss_kind), axis=-1)
 
 
-def tbptt_gradient(
-    tape: ActivationTape, params, family, mode: str = "replay", loss_kind: str = LOSS_SQUARED
-):
-    """Gradients of the time-smoothed loss, the mean of the window's losses,
-    of every run on the tape: params are (B, ...) stacks keyed like
+def tbptt_gradient(tape: ActivationTape, params, family, loss_kind: str = LOSS_SQUARED):
+    """Replay gradients of the time-smoothed loss, the mean of the window's
+    losses, of every run on the tape: params are (B, ...) stacks keyed like
     param_blocks of the family of the parameters `family`. Returns the
     gradient stacks and, per member, the first non-finite quantity or None."""
-    if mode not in GRADIENT_MODES:
-        raise ValueError(f"mode must be one of {GRADIENT_MODES}, got {mode!r}")
     m = _window_length(tape)
-    return _window_gradient(tape, params, family, mode, loss_kind, np.full(m, 1.0 / m))
+    return _window_gradient(tape, params, family, "replay", loss_kind, np.full(m, 1.0 / m))
 
 
 def instant_gradient(tape: ActivationTape, params, family, loss_kind: str = LOSS_SQUARED):
@@ -448,8 +443,7 @@ def fd_gradient(
 ) -> dict[str, np.ndarray]:
     """Central finite differences of the replay smoothed loss, every entry.
 
-    The brute-force counterpart of ``tbptt_gradient(..., mode="replay")``
-    at B = 1.
+    The brute-force counterpart of ``tbptt_gradient`` at B = 1.
     Clockwork-masked entries come out exactly zero because the forward pass
     multiplies them away.
     """

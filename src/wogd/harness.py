@@ -33,7 +33,6 @@ with a ``schema_version`` key. Recognized keys:
                    7.5; the spectral bound lambda holds only when alpha <= lambda
   out_lr_scale     wogd output schedule c in c/sqrt(t), default 8.0
   out_radius       wogd output-weight l2 bound, default 2.5
-  gradient_mode    replay | cached, default replay
   learning_rate    baseline learning rate
   seeds            evaluation seeds, e.g. 1,2,3 (default 1..eval_runs)
   tuning_runs      seeds used per grid point, default 10
@@ -41,10 +40,10 @@ with a ``schema_version`` key. Recognized keys:
   init_std         stddev of the Gaussian weight init, default 0.1
   record_regret    true/false: track projected-gradient norms per step
   record_smoothness  true/false: track finite-difference curvature (implies
-                   record_regret and replay gradients)
-  regret_every     instrument every k-th step (default 1: every step; each
-                   sample costs two spectral projections); k > 1 needs
-                   record_regret or record_smoothness
+                   record_regret)
+  regret_every     instrument steps 1, k + 1, 2k + 1, ... (default 1: every
+                   step; each sample costs two spectral projections); k > 1
+                   needs record_regret or record_smoothness
   check_gradient_bounds  true/false, wogd only: assert the closed-form
                    gradient-norm ceiling each step while the constraint
                    preconditions hold
@@ -68,7 +67,6 @@ import numpy as np
 
 from . import analysis, models, tasks
 from .gradients import (
-    GRADIENT_MODES,
     ActivationTape,
     NumericOverflowError,
     elman_window_gradient,
@@ -135,7 +133,6 @@ class ExperimentConfig:
     alpha: float = 7.5
     out_lr_scale: float = 8.0
     out_radius: float = 2.5
-    gradient_mode: str = "replay"
     learning_rate: float = 0.01
     # protocol
     seeds: tuple[int, ...] = ()
@@ -266,8 +263,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         p.append("init_std must be >= 0")
     if cfg.window < 1:
         p.append("window must be >= 1")
-    if cfg.gradient_mode not in GRADIENT_MODES:
-        p.append(f"gradient_mode must be one of {GRADIENT_MODES}")
     if cfg.task == "binary_add":
         if cfg.n_sequences not in (2, 3):
             p.append("n_sequences must be 2 or 3")
@@ -277,8 +272,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         p.append("the windowed projected update applies to srnn/cwrnn parameter triples")
     if cfg.record_smoothness and cfg.optimizer != "wogd":
         p.append("record_smoothness requires the wogd optimizer")
-    if cfg.record_smoothness and cfg.gradient_mode != "replay":
-        p.append("record_smoothness requires replay gradients")
     if cfg.record_regret and cfg.optimizer != "wogd":
         p.append("record_regret requires the wogd optimizer")
     if cfg.regret_every < 1:
@@ -545,7 +538,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
     opt = _optimizer(cfg)
     moments: dict = {}  # (moment, block) -> (B, ...) stack, for rmsprop and adam
     instrumented = cfg.record_regret or cfg.record_smoothness
-    ledger = analysis.RegretLedger() if instrumented else None  # with a member axis
+    ledger = analysis.RegretLedger(cfg.regret_every) if instrumented else None  # member axis
 
     order = np.arange(len(seeds))  # seed position of each batch member
     pending = None  # step t + 1's (grads, failed), replayed in step t's probe call
@@ -571,7 +564,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
         if pending is not None:
             (grads, failed), pending = pending, None
         elif wogd:
-            grads, failed = tbptt_gradient(tape, params, template, cfg.gradient_mode, loss_kind)
+            grads, failed = tbptt_gradient(tape, params, template, loss_kind)
         else:
             grads, failed = instant_gradient(tape, params, template, loss_kind)
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
@@ -602,8 +595,7 @@ def run_batch(cfg: ExperimentConfig, seeds) -> list[RunResult]:
                 pending = {k: g[batch:] for k, g in both.items()}, probe_failed[batch:]
             else:
                 after, probe_failed = tbptt_gradient(
-                    tape, {**params, "theta_out": before["theta_out"]}, template, "replay",
-                    loss_kind,
+                    tape, {**params, "theta_out": before["theta_out"]}, template, loss_kind
                 )
         if sampled:
             block.append((before, grads, after, params))
@@ -754,13 +746,18 @@ class Summary:
     regret: dict[str, tuple[np.ndarray, np.ndarray]]  # label -> (R(t), R(t)/t) means
     smoothness: dict[str, tuple[np.ndarray, np.ndarray]]  # label -> (mean, max) beta_exp
     seeds: dict[str, tuple[int, ...]]
+    regret_every: int = 1  # the ledgers' sampling stride: entry i is timestep k (i - 1) + 1
 
 
 def aggregate(results: list[RunResult]) -> Summary:
     """Group runs by label; curves and instrumentation are averaged across
-    seeds (truncated to the shortest run within a label)."""
+    seeds (truncated to the shortest run within a label). Every ledger must
+    sample at the same stride."""
     if not results:
         raise ValueError("no results to aggregate")
+    strides = {r.ledger.every for r in results if r.ledger is not None}
+    if len(strides) > 1:
+        raise ValueError(f"ledgers sample at different strides {sorted(strides)}")
     by_label: dict[str, list[RunResult]] = {}
     for r in results:
         by_label.setdefault(r.label, []).append(r)
@@ -796,7 +793,7 @@ def aggregate(results: list[RunResult]) -> Summary:
             betas = np.array([led.beta_exp[:n] for led in ledgers], dtype=np.float64)  # None: nan
             if not np.isnan(betas).all():
                 smooth[label] = (np.nanmean(betas, axis=0), np.nanmax(betas, axis=0))
-    return Summary(rows=rows, curves=curves, regret=regret, smoothness=smooth, seeds=seeds)
+    return Summary(rows, curves, regret, smooth, seeds, max(strides, default=1))
 
 
 def emit_outputs(
@@ -806,9 +803,10 @@ def emit_outputs(
     diverged: dict[int, NumericOverflowError] | None = None,
 ) -> list[str]:
     """Write summary.csv, curves.csv, regret.csv, smoothness.csv (the last two
-    only when instrumentation exists) plus a manifest.json recording the exact
-    config, the seeds and, per diverged seed, where it diverged. Column order
-    is stable; every numeric cell is emitted with full repr precision."""
+    only when instrumentation exists, a row per sampled step with its
+    timestep as t) plus a manifest.json recording the exact config, the seeds
+    and, per diverged seed, where it diverged. Column order is stable; every
+    numeric cell is emitted with full repr precision."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -842,7 +840,7 @@ def emit_outputs(
         if not channel:
             continue
         n = min(pair[0].shape[0] for pair in channel.values())
-        header, cols = ["t"], [np.arange(1, n + 1)]
+        header, cols = ["t"], [summary.regret_every * np.arange(n) + 1]
         for lab, pair in channel.items():
             header += [f"{lab}:{col}" for col in columns]
             cols += [a[:n] for a in pair]

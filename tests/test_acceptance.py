@@ -85,7 +85,7 @@ def test_criterion_1_gradient_correctness():
                     params = _random_model(arch, n_h, 2, rng)
                     steps = w + int(rng.integers(0, 3))
                     tape, blocks = _fill_tape(params, steps, w, rng, loss_kind)
-                    stacks, failed = tbptt_gradient(tape, blocks, params, "replay", loss_kind)
+                    stacks, failed = tbptt_gradient(tape, blocks, params, loss_kind)
                     assert failed == [None]
                     grads = {name: g[0] for name, g in stacks.items()}
                     oracle = fd_gradient(tape, params, 1e-5, loss_kind)

@@ -67,10 +67,28 @@ def drive(params, steps, rng, loss_kind=LOSS_SQUARED, capacity=None):
     return tape
 
 
+def mean_gradient(tape, blocks, family, mode, loss_kind=LOSS_SQUARED):
+    """The gradient of the window's mean loss of every run on the tape under
+    the (B, ...) stacks blocks: by replay, tbptt_gradient; cached, through
+    the recorded activations by the family's public kernel."""
+    if mode == "replay":
+        return tbptt_gradient(tape, blocks, family, loss_kind)
+    weights = np.full(len(tape), 1.0 / len(tape))
+    if isinstance(family, LstmParams):
+        return lstm_window_gradient(
+            tape.x, tape.d, tape.pred, tape.h, tape.c, tape.gates, blocks, mode, loss_kind,
+            weights,
+        )
+    return elman_window_gradient(
+        tape.x, tape.d, tape.pred, tape.h, tape.ts, blocks["w"], blocks["u"],
+        blocks["theta_out"], mode, loss_kind, weights, family,
+    )
+
+
 def tbptt(tape, params, mode="replay", loss_kind=LOSS_SQUARED):
-    """tbptt_gradient of the one run on the tape under params, as blocks
+    """mean_gradient of the one run on the tape under params, as blocks
     shaped like params'; the run's gradient must be finite."""
-    grads, failed = tbptt_gradient(tape, one_run(params), params, mode, loss_kind)
+    grads, failed = mean_gradient(tape, one_run(params), params, mode, loss_kind)
     assert failed == [None]
     return {name: g[0] for name, g in grads.items()}
 
@@ -95,9 +113,10 @@ def naive_smoothed_loss(tape, params, loss_kind):
     return total / len(tape)
 
 
-def reference_smoothed_loss(tape, params, loss_kind):
+def reference_losses(tape, params, loss_kind):
     """Oracle for the member-axis loss, in its one-run form: the family's
-    forward kernel at B = 1, the (m,) readouts and one float mean."""
+    forward kernel at B = 1 replayed from the anchor, the (m,) readouts and
+    their (m,) losses."""
     x = member_major(tape.x)
     if isinstance(params, LstmParams):
         stacks = (params.w[None], params.u[None], params.b[None])
@@ -107,14 +126,24 @@ def reference_smoothed_loss(tape, params, loss_kind):
         h = elman_forward(x, tape.h[0][..., None], w, params.u[None], active)[:, 0, :, 0]
     preds, d = readout(h[1:], params.theta_out, loss_kind), tape.d[:, 0]
     if loss_kind == LOSS_SQUARED:
-        return float(np.mean(0.5 * (preds - d) * (preds - d)))
+        return 0.5 * (preds - d) * (preds - d)
     p = np.clip(preds, CROSS_ENTROPY_CLAMP, 1.0 - CROSS_ENTROPY_CLAMP)
-    return float(np.mean(-d * np.log(p) - (1.0 - d) * np.log(1.0 - p)))
+    return -d * np.log(p) - (1.0 - d) * np.log(1.0 - p)
 
 
-def reference_fd_gradient(tape, params, eps, loss_kind):
+def reference_smoothed_loss(tape, params, loss_kind):
+    """The mean of reference_losses, one float."""
+    return float(np.mean(reference_losses(tape, params, loss_kind)))
+
+
+def newest_loss(tape, params, loss_kind):
+    """The loss of the tape's newest step, replayed from the anchor."""
+    return float(reference_losses(tape, params, loss_kind)[-1])
+
+
+def reference_fd_gradient(tape, params, eps, loss_kind, loss=reference_smoothed_loss):
     """Oracle for the member-batched fd_gradient: the serial loop, one
-    reference_smoothed_loss call per probe of one entry."""
+    loss call (by default reference_smoothed_loss) per probe of one entry."""
     grads = {}
     for name, arr in param_blocks(params):
         work = arr.copy()
@@ -124,9 +153,9 @@ def reference_fd_gradient(tape, params, eps, loss_kind):
         for k in range(flat_w.size):
             orig = flat_w[k]
             flat_w[k] = orig + eps
-            up = reference_smoothed_loss(tape, probe, loss_kind)
+            up = loss(tape, probe, loss_kind)
             flat_w[k] = orig - eps
-            down = reference_smoothed_loss(tape, probe, loss_kind)
+            down = loss(tape, probe, loss_kind)
             flat_w[k] = orig
             flat_g[k] = (up - down) / (2.0 * eps)
         grads[name] = g
@@ -400,12 +429,22 @@ class TestCachedGradient:
         g_cached = tbptt(tape, q, "cached")
         assert max_rel_err(g_cached, g_replay) > 1e-3
 
-    def test_rejects_unknown_mode(self):
+
+class TestInstantGradient:
+    @pytest.mark.parametrize("arch", ["srnn", "cwrnn", "lstm"])
+    @pytest.mark.parametrize("kind", [LOSS_SQUARED, LOSS_CROSS_ENTROPY])
+    def test_matches_finite_differences_of_newest_loss(self, arch, kind):
+        # Under fixed parameters the recorded activations are the replayed
+        # ones, so the baselines' gradient is that of the newest loss alone,
+        # backpropagated to the anchor: 9 steps into capacity 6 move it.
         rng = np.random.default_rng(11)
-        p = random_srnn(2, 2, 0.3, rng)
-        tape = drive(p, 2, rng)
-        with pytest.raises(ValueError, match="^mode must be one of"):
-            tbptt_gradient(tape, one_run(p), p, "other")
+        p = MAKERS[arch](4, 3, rng)
+        tape = drive(p, 9, rng, kind, capacity=6)
+        grads, failed = instant_gradient(tape, one_run(p), p, kind)
+        assert failed == [None]
+        g = {name: a[0] for name, a in grads.items()}
+        f = reference_fd_gradient(tape, p, 1e-6, kind, loss=newest_loss)
+        assert max_rel_err(g, f) <= 1e-5
 
 
 class TestFdGradient:
@@ -721,11 +760,11 @@ class TestLoopLayout:
         family = MAKERS[arch](self.N_H, self.N_X, rng)
         tape = self.batch_tape(batch, 7, rng, lstm=arch == "lstm")
         params = {name: np.stack([a] * batch) for name, a in param_blocks(family)}
-        tbptt_gradient(tape, params, family, mode, LOSS_SQUARED)
+        mean_gradient(tape, params, family, mode)
         kept = [b for b in range(batch) if b != 1]
         tape.keep(kept)
         params = {name: a[kept] for name, a in params.items()}
-        tbptt_gradient(tape, params, family, mode, LOSS_SQUARED)
+        mean_gradient(tape, params, family, mode)
         assert calls
         assert self.strided(calls, gate_columns=arch == "lstm") == []
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wogd import analysis, gradients, harness, linalg, models, optim, tasks
+from wogd import analysis, cli, gradients, harness, linalg, models, optim, tasks
 from wogd.cli import main as cli_main
 from wogd.gradients import ActivationTape, NumericOverflowError, instant_gradient, tbptt_gradient
 from wogd.harness import (
@@ -36,6 +36,7 @@ from wogd.harness import (
 from wogd.linalg import clip_singular_values, spectral_norm
 from wogd.optim import BaselineConfig, WogdConfig, baseline_step, wogd_step
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(Path(__file__).parent / "data" / "fixture_regression.csv")
 
 
@@ -143,11 +144,14 @@ class TestConfigParsing:
         assert set(documented) == accepted
 
     @pytest.mark.parametrize(
-        "key, value", [("loss", "cross_entropy"), ("tbptt_depth", "8")], ids=["loss", "tbptt_depth"]
+        "key, value",
+        [("loss", "cross_entropy"), ("tbptt_depth", "8"), ("gradient_mode", "cached")],
+        ids=["loss", "tbptt_depth", "gradient_mode"],
     )
     def test_loss_key_rejected(self, key, value, tmp_path, capsys):
-        """The loss follows from the task and every optimizer backpropagates
-        through window steps; a config that sets either is refused."""
+        """The loss follows from the task, every optimizer backpropagates
+        through window steps and WOGD's gradient is the replay; a config
+        that sets any of them is refused."""
         raw = {"schema_version": "1", "task": "binary_add", "model": "srnn",
                "n_h": "4", "optimizer": "wogd", key: value,
                "out_dir": str(tmp_path / "out")}
@@ -173,8 +177,6 @@ class TestConfigParsing:
             ({"eval_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
             ({"tuning_runs": "0"}, "tuning_runs and eval_runs must be >= 1"),
             ({"window": "0"}, "window must be >= 1"),
-            ({"gradient_mode": "bogus"}, "gradient_mode must be one of"),
-            ({"optimizer": "sgd", "gradient_mode": "bogus"}, "gradient_mode must be one of"),
             ({"seeds": "-1"}, "seeds must be >= 0"),
             ({"task": "csv", "dataset": FIXTURE, "steps": "-5"}, "steps must be >= 0"),
             ({"model": "cwrnn", "n_h": "4", "periods": "0,1"},
@@ -184,8 +186,7 @@ class TestConfigParsing:
         ids=["window-0", "features-0", "init-std-negative",
              "gradient-bounds-without-wogd", "regret-every-without-recording",
              "horizon-0", "horizon-negative", "eval-runs-0",
-             "tuning-runs-0", "wogd-window-0", "wogd-gradient-mode-bogus",
-             "sgd-gradient-mode-bogus", "negative-seed", "csv-steps-negative",
+             "tuning-runs-0", "wogd-window-0", "negative-seed", "csv-steps-negative",
              "cwrnn-period-0", "cwrnn-periods-descending"],
     )
     def test_rejects_bad_sizes_before_any_run(self, change, problem, tmp_path, capsys):
@@ -297,7 +298,6 @@ BATCH_CASES = {
     "replay-evicting": (_synthetic(), run_batch, None),
     "alpha-0": (_synthetic(steps=40, window=10, alpha=0.0), run_batch, None),
     "cwrnn": (_synthetic(model="cwrnn", n_h=6, periods=(1, 2, 4), features=2), run_batch, None),
-    "cached": (_synthetic(gradient_mode="cached", window=10), run_batch, None),
     "csv": (fixture_cfg(), run_batch, None),
     "binary-add": (
         ExperimentConfig(task="binary_add", model="srnn", n_h=8, optimizer="wogd",
@@ -416,9 +416,9 @@ class TestRunBatch:
         "over",
         [{}, INSTRUMENTED, dict(INSTRUMENTED, regret_every=3),
          dict(INSTRUMENTED, model="cwrnn", n_h=6, periods=(1, 2, 4)),
-         dict(record_regret=True, gradient_mode="cached", window=10, alpha=0.0),
+         dict(record_regret=True, window=10, alpha=0.0),
          SGD, RMSPROP_CWRNN, LSTM_ADAM],
-        ids=["plain", "instrumented", "every-3", "cwrnn", "cached-alpha-0",
+        ids=["plain", "instrumented", "every-3", "cwrnn", "regret-alpha-0",
              "srnn-sgd", "cwrnn-rmsprop", "lstm-adam"],
     )
     def test_matches_reference_loop(self, over):
@@ -627,7 +627,7 @@ def _reference_run(cfg, seed):
             assert failed == [None]
             params = dataclasses.replace(params, **{k: a[0] for k, a in new.items()})
             continue
-        stacks, failed = tbptt_gradient(tape, blocks, params, cfg.gradient_mode, cfg.loss_kind)
+        stacks, failed = tbptt_gradient(tape, blocks, params, cfg.loss_kind)
         assert failed == [None]
         grads = {k: g[0] for k, g in stacks.items()}
         sampled = instrumented and (t - 1) % cfg.regret_every == 0
@@ -649,7 +649,7 @@ def _reference_run(cfg, seed):
         projections += int(clips[0])
         if sampled and cfg.record_smoothness:
             probe = dataclasses.replace(new, theta_out=params.theta_out)
-            after, failed = tbptt_gradient(tape, one_run(probe), probe, "replay", cfg.loss_kind)
+            after, failed = tbptt_gradient(tape, one_run(probe), probe, cfg.loss_kind)
             assert failed == [None]
             after = {k: g[0] for k, g in after.items()}
             ratios = []  # of the blocks that moved
@@ -853,6 +853,27 @@ class TestAggregateAndEmit:
             cells_b = [c for i, c in enumerate(b.split(",")) if i != t_col]
             assert cells_a == cells_b
 
+    def test_sampled_rows_carry_their_timestep(self, tmp_path):
+        # regret_every = 3 over 10 steps samples steps 1, 4, 7 and 10
+        raw = parse_config_text((ROOT / "configs" / "synthetic_regret.cfg").read_text())
+        raw.update(steps="10", regret_every="3")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--seeds", "1", "--out", str(out)]) == 0
+        for name in ("regret.csv", "smoothness.csv"):
+            rows = (out / name).read_text().splitlines()
+            assert rows[0].startswith("t,")
+            assert [row.split(",")[0] for row in rows[1:]] == ["1", "4", "7", "10"], name
+
+    def test_aggregate_refuses_mixed_strides(self):
+        # one t column cannot label ledgers sampled at different strides
+        runs = [run_single(_synthetic(steps=10, record_regret=True, regret_every=k), 1)
+                for k in (1, 3)]
+        assert [r.ledger.every for r in runs] == [1, 3]
+        with pytest.raises(ValueError, match="different strides"):
+            aggregate(runs)
+
     def test_parallel_workers_match_serial(self):
         cfg = fixture_cfg(steps=30)
         serial = run_many(cfg, seeds=(1, 2), workers=1)
@@ -863,6 +884,30 @@ class TestAggregateAndEmit:
 
 
 class TestCli:
+    def test_verify_runs_the_configured_suites(self, monkeypatch, tmp_path, capsys):
+        # the commands are recorded, not run: no pytest inside pytest
+        calls = []
+
+        def run(cmd, check):
+            calls.append(cmd)
+            return SimpleNamespace(returncode=5)
+
+        monkeypatch.setattr(cli.subprocess, "run", run)
+        monkeypatch.chdir(ROOT)
+        assert cli_main(["verify"]) == 5
+        assert cli_main(["verify", "tests/test_linalg.py", "-q"]) == 5
+        assert cli_main(["verify", "--", "-k", "digests"]) == 5
+        pytest_cmd = [sys.executable, "-m", "pytest"]
+        # no path: pyproject.toml's testpaths decide, perfbench/tests included
+        assert calls == [
+            pytest_cmd + ["-v"], pytest_cmd + ["tests/test_linalg.py", "-q"],
+            pytest_cmd + ["-k", "digests"],
+        ]
+        monkeypatch.chdir(tmp_path)  # no tests/ here
+        assert cli_main(["verify"]) == 2
+        assert "no tests/ directory" in capsys.readouterr().err
+        assert len(calls) == 3
+
     def test_run_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(CONFIG_TEXT.replace("out_dir = results", f"out_dir = {tmp_path}/out"))

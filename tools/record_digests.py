@@ -50,8 +50,8 @@ def _binary(**over) -> ExperimentConfig:
 
 CASES = {
     "srnn-replay-instrumented": _synthetic(record_regret=True, record_smoothness=True),
-    "srnn-cached-every-3-bounds": _synthetic(
-        gradient_mode="cached", window=10, record_regret=True, regret_every=3,
+    "srnn-every-3-bounds": _synthetic(
+        window=10, record_regret=True, regret_every=3,
         check_gradient_bounds=True, alpha=0.0, out_radius=1.0, out_lr_scale=1.0,
     ),
     "cwrnn-wogd": _synthetic(model="cwrnn", periods=(1, 2, 3), features=2,
